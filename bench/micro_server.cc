@@ -3,8 +3,8 @@
 // Starts a Watchman + WatchmanServer in-process on a loopback ephemeral
 // port, pre-fills a working set over the wire, then measures recorded
 // scenarios on ONE connection. The legacy trio runs on the primary
-// server (--backend, default epoll; inline dispatch OFF so the numbers
-// stay comparable with the pre-inline trajectory):
+// server (inline dispatch OFF so the numbers stay comparable with the
+// pre-inline trajectory):
 //
 //   loopback_get_blocking   -- WatchmanClient: one blocked round trip
 //                              per request (the pre-v3 floor)
@@ -15,11 +15,9 @@
 //   loopback_get_mux8t      -- 8 threads sharing ONE MultiplexedClient
 //                              connection, each doing blocking Gets
 //
-// and each fast-path lever then gets its own server + scenario:
+// and the inline fast path then gets its own server + scenario:
 //
-//   loopback_get_blocking_inline -- epoll + IO-thread inline dispatch
-//   loopback_get_blocking_uring  -- io_uring backend (skipped with a
-//   loopback_get_pipelined_uring    notice when the kernel can't)
+//   loopback_get_blocking_inline -- IO-thread inline dispatch
 //
 // plus an unrecorded thread sweep (1..max_threads blocking clients, a
 // connection each) and a PING round for the transport floor. The
@@ -28,8 +26,8 @@
 // and inline blocking RTT beating the queued path.
 //
 // Usage: bench_micro_server [--json=PATH] [--baseline=PATH]
-//          [--baseline-label=STR] [--backend=epoll|io_uring|auto]
-//          [--scale=F] [--threads=N] [--ms=N] [--no-sweep]
+//          [--baseline-label=STR] [--scale=F] [--threads=N] [--ms=N]
+//          [--no-sweep]
 
 #include <atomic>
 #include <barrier>
@@ -276,7 +274,6 @@ int Run(int argc, char** argv) {
   std::string json_path;
   std::string baseline_path;
   std::string baseline_label = "baseline";
-  ServerBackend backend = ServerBackend::kEpoll;
   double scale = 1.0;
   int max_threads = 8;
   int ms_per_point = 400;
@@ -289,11 +286,6 @@ int Run(int argc, char** argv) {
       baseline_path = arg.substr(11);
     } else if (arg.rfind("--baseline-label=", 0) == 0) {
       baseline_label = arg.substr(17);
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      if (!ParseServerBackend(arg.substr(10), &backend)) {
-        std::fprintf(stderr, "unknown --backend (epoll|io_uring|auto)\n");
-        return 2;
-      }
     } else if (arg.rfind("--scale=", 0) == 0) {
       scale = std::strtod(arg.c_str() + 8, nullptr);
       if (scale <= 0.0) scale = 1.0;
@@ -308,8 +300,8 @@ int Run(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json=PATH] [--baseline=PATH] "
-                   "[--baseline-label=STR] [--backend=epoll|io_uring|auto] "
-                   "[--scale=F] [--threads=N] [--ms=N] [--no-sweep]\n",
+                   "[--baseline-label=STR] [--scale=F] [--threads=N] "
+                   "[--ms=N] [--no-sweep]\n",
                    argv[0]);
       return 2;
     }
@@ -334,12 +326,11 @@ int Run(int argc, char** argv) {
   // The primary server runs the legacy-named scenarios with inline
   // dispatch OFF so loopback_get_blocking / _pipelined / _mux8t stay
   // comparable across the recorded trajectory (they predate the
-  // inline fast path). The lever scenarios below each start their own
-  // server with one lever flipped.
+  // inline fast path). The inline scenario below starts its own server
+  // with that lever flipped.
   WatchmanServer::Options server_options;
   server_options.port = 0;
   server_options.num_workers = static_cast<size_t>(max_threads);
-  server_options.backend = backend;
   server_options.inline_dispatch = false;
   WatchmanServer server(&cache, server_options);
   Status started = server.Start();
@@ -377,7 +368,7 @@ int Run(int argc, char** argv) {
               "%zu shards, %zu cached sets, hardware threads: %u, "
               "scale %.3f)\n",
               static_cast<unsigned>(server.port()),
-              ServerBackendName(server.effective_backend()),
+              WatchmanServer::kBackendName,
               cache.num_shards(), cache.cached_set_count(),
               std::thread::hardware_concurrency(), scale);
   std::printf("==============================================\n");
@@ -402,13 +393,11 @@ int Run(int argc, char** argv) {
                 mux.ops_per_sec / blocking.ops_per_sec);
   }
 
-  // ---- per-lever scenarios: one server each, one lever flipped ----
-  // Inline dispatch on the epoll loop: blocking round trips are
-  // answered on the IO thread (no worker handoff), the headline
-  // latency lever for a blocking client.
+  // ---- inline lever: its own server with inline dispatch on ----
+  // Blocking round trips are answered on the IO thread (no worker
+  // handoff), the headline latency lever for a blocking client.
   {
     WatchmanServer::Options opts = server_options;
-    opts.backend = ServerBackend::kEpoll;
     opts.inline_dispatch = true;
     WatchmanServer inline_server(&cache, opts);
     if (inline_server.Start().ok()) {
@@ -423,32 +412,6 @@ int Run(int argc, char** argv) {
                   static_cast<unsigned long long>(
                       inline_server.inline_dispatched()));
       inline_server.Stop();
-    }
-  }
-  // The io_uring completion loop (inline dispatch on as well): batched
-  // submission amortizes syscalls under pipelined load.
-  {
-    WatchmanServer::Options opts = server_options;
-    opts.backend = ServerBackend::kIoUring;
-    opts.inline_dispatch = true;
-    WatchmanServer uring_server(&cache, opts);
-    if (!uring_server.Start().ok() ||
-        uring_server.effective_backend() != ServerBackend::kIoUring) {
-      std::printf("\n(io_uring unavailable on this kernel; skipping "
-                  "loopback_*_uring scenarios)\n");
-    } else {
-      BenchResult r = RunBlockingGet("loopback_get_blocking_uring",
-                                     uring_server.port(), scaled(3e4));
-      if (!r.scenario.empty()) report.Add(r);
-      BenchResult p = RunPipelinedGet("loopback_get_pipelined_uring",
-                                      uring_server.port(), scaled(2e5),
-                                      /*window=*/32);
-      if (!p.scenario.empty()) report.Add(p);
-      if (pipelined.ops_per_sec > 0 && p.ops_per_sec > 0) {
-        std::printf("uring vs epoll pipelined: %.2fx\n",
-                    p.ops_per_sec / pipelined.ops_per_sec);
-      }
-      uring_server.Stop();
     }
   }
 

@@ -63,6 +63,22 @@ class ShardedQueryCache {
   /// reference and returns true when cached, touches nothing otherwise.
   bool TryReferenceCached(const QueryDescriptor& d, Timestamp now);
 
+  /// Hit-only probe that also fetches the payload under the shard lock:
+  /// `fetch()` (returning bool) runs only when `d` is cached, and the
+  /// reference is recorded only when it returns true. Evictions and
+  /// Erase() drop the payload under this same lock (the eviction
+  /// listener), so a counted reference always comes with its payload:
+  /// an entry admitted but not yet published, or erased mid-call, costs
+  /// the caller a miss, never a reference.
+  template <typename Fetch>
+  bool TryReferenceCached(const QueryDescriptor& d, Timestamp now,
+                          Fetch&& fetch) {
+    Shard& shard = *shards_[ShardIndexOf(d.signature())];
+    CountedLock lock(shard);
+    if (!shard.cache->Contains(d.key) || !fetch()) return false;
+    return shard.cache->TryReferenceCached(d, now);
+  }
+
   /// True if the retrieved set of `key` is currently cached.
   bool Contains(const QueryKey& key) const;
   /// Convenience overload that computes the signature.

@@ -6,10 +6,10 @@
 // pieces:
 //
 //  * FramePool -- a bounded free-list of std::string buffers. Frame
-//    bodies handed to workers, per-connection in/out buffers and the
-//    io_uring receive chunks are acquired here and released back when
-//    done, so steady-state traffic reuses warm capacity instead of
-//    hitting the allocator once per frame / per connection. Release
+//    bodies handed to workers and per-connection in/out buffers are
+//    acquired here and released back when done, so steady-state
+//    traffic reuses warm capacity instead of hitting the allocator
+//    once per frame / per connection. Release
 //    discards buffers whose capacity ballooned past a cap (one huge
 //    EXECUTE fill must not pin megabytes in the free list) and drops
 //    buffers beyond the retained-count cap.

@@ -9,21 +9,20 @@
 // Usage:
 //   watchmand [--policy=lnc-ra(k=4)] [--capacity=256m] [--shards=8]
 //             [--port=9736] [--host=127.0.0.1] [--workers=N]
-//             [--backend=epoll|io_uring|auto] [--no-inline]
-//             [--compact-idle=SECONDS] [--io-timeout=MS] [--normalize]
-//             [--admin-port=P] [--no-metrics] [--slow-request-ms=MS]
+//             [--no-inline] [--compact-idle=SECONDS] [--io-timeout=MS]
+//             [--normalize] [--admin-port=P] [--no-metrics]
+//             [--slow-request-ms=MS]
 //             [--log-level=debug|info|warn|error|off] [--log-json]
 //             [--stats-interval=30] [--verbose]
 //
 // --capacity accepts plain bytes or k/m/g suffixes. --policy accepts
-// everything ParsePolicy does. --backend picks the event backend:
-// `auto` (the default) serves with io_uring when the kernel provides
-// it and falls back to epoll silently; `io_uring` also falls back but
-// logs a warning; `epoll` never probes. --no-inline disables the
-// IO-thread inline fast path for cheap ops. --compact-idle runs a
-// metadata compaction pass after the daemon has been idle that many
-// seconds (0 = never). --io-timeout closes connections stuck mid-frame
-// / mid-flush with no progress for MS milliseconds (0 = never).
+// everything ParsePolicy does. The daemon serves on one epoll event
+// loop, which the startup line names ("..., epoll backend)").
+// --no-inline disables the IO-thread inline fast path for cheap ops.
+// --compact-idle runs a metadata compaction pass after the daemon has
+// been idle that many seconds (0 = never). --io-timeout closes
+// connections stuck mid-frame / mid-flush with no progress for MS
+// milliseconds (0 = never).
 //
 // Observability: --admin-port binds an HTTP endpoint (same host)
 // serving GET /metrics (Prometheus text format) and /healthz; 0 picks
@@ -78,7 +77,6 @@ struct Flags {
   size_t shards = 8;
   uint16_t port = 9736;
   size_t workers = 0;  // 0 = hardware concurrency
-  ServerBackend backend = ServerBackend::kAuto;
   bool inline_dispatch = true;
   uint64_t compact_idle_s = 300;
   uint64_t io_timeout_ms = 30000;
@@ -109,8 +107,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s [--policy=<name>] [--capacity=<bytes|k|m|g>] "
       "[--shards=<n>] [--port=<p>] [--host=<addr>] [--workers=<n>]\n"
-      "       [--backend=epoll|io_uring|auto] [--no-inline] "
-      "[--compact-idle=<seconds>]\n"
+      "       [--no-inline] [--compact-idle=<seconds>]\n"
       "       [--io-timeout=<ms>] [--normalize] "
       "[--stats-interval=<seconds>] [--verbose]\n"
       "       [--admin-port=<p>] [--no-metrics] [--slow-request-ms=<ms>]\n"
@@ -229,13 +226,6 @@ int Run(int argc, char** argv) {
         return 2;
       }
       flags.workers = static_cast<size_t>(workers);
-    } else if (ParseFlag(arg, "backend", &value)) {
-      if (!ParseServerBackend(value, &flags.backend)) {
-        std::fprintf(stderr,
-                     "--backend: expected epoll|io_uring|auto, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
     } else if (ParseFlag(arg, "compact-idle", &value)) {
       if (!ParseUint(value, 86400, &flags.compact_idle_s)) {
         std::fprintf(stderr,
@@ -399,7 +389,6 @@ int Run(int argc, char** argv) {
       flags.workers != 0 ? flags.workers
                          : std::max(4u, std::thread::hardware_concurrency());
   server_options.io_timeout_ms = static_cast<int>(flags.io_timeout_ms);
-  server_options.backend = flags.backend;
   server_options.inline_dispatch = flags.inline_dispatch;
   server_options.compact_idle_ms =
       static_cast<int>(flags.compact_idle_s) * 1000;
@@ -434,8 +423,7 @@ int Run(int argc, char** argv) {
               cache.policy_name().c_str(), flags.host.c_str(),
               static_cast<unsigned>(server.port()),
               HumanBytes(*capacity).c_str(), cache.num_shards(),
-              server_options.num_workers,
-              ServerBackendName(server.effective_backend()));
+              server_options.num_workers, WatchmanServer::kBackendName);
   if (server.admin_port() != 0) {
     std::printf("admin endpoint: http://%s:%u/metrics\n", flags.host.c_str(),
                 static_cast<unsigned>(server.admin_port()));

@@ -149,8 +149,7 @@ struct WireStats {
   /// Milliseconds since the last compaction at snapshot time;
   /// kNeverCompacted when none has run yet.
   uint64_t last_compaction_age_ms = kNeverCompacted;
-  /// Event backend actually serving ("epoll" or "io_uring") -- the
-  /// requested backend may have fallen back at startup.
+  /// Name of the daemon's event loop ("epoll").
   std::string backend;
   std::vector<WireOpMetrics> per_op;
 

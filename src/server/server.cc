@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -15,7 +14,6 @@
 #include <cstring>
 
 #include "obs/admin_http.h"
-#include "server/uring.h"
 #include "util/errno_string.h"
 #include "util/fault.h"
 #include "util/logging.h"
@@ -40,60 +38,11 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-// io_uring CQE routing: user_data is a Connection* (8-byte aligned)
-// with a low-bit operation tag, or a pointer-free constant for the
-// listen socket / wake eventfd. Conn-tagged values never collide with
-// the constants because conn tags start at 3.
-constexpr uint64_t kUdTagMask = 7;
-constexpr uint64_t kUdAccept = 1;
-constexpr uint64_t kUdWake = 2;
-constexpr uint64_t kUdRecv = 3;
-constexpr uint64_t kUdPollOut = 4;
-constexpr uint64_t kUdCancel = 5;
-constexpr uint64_t kUdAdminAccept = 6;
-
 /// Cap on a buffered admin HTTP request; anything larger answers 431
 /// and closes (a /metrics GET is a few dozen bytes).
 constexpr size_t kMaxAdminRequestBytes = 16 * 1024;
 
-uint64_t ConnUserData(const void* conn, uint64_t tag) {
-  return reinterpret_cast<uint64_t>(conn) | tag;
-}
-
-/// One-shot receive chunk (kernels without provided-buffer rings);
-/// matches the epoll read chunk.
-constexpr size_t kUringChunkBytes = 64 * 1024;
-/// Provided-buffer group geometry for multishot receive.
-constexpr uint32_t kUringBufCount = 128;
-constexpr size_t kUringBufBytes = 16 * 1024;
-constexpr unsigned kUringSqDepth = 512;
-
 }  // namespace
-
-const char* ServerBackendName(ServerBackend backend) {
-  switch (backend) {
-    case ServerBackend::kEpoll:
-      return "epoll";
-    case ServerBackend::kIoUring:
-      return "io_uring";
-    case ServerBackend::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-bool ParseServerBackend(std::string_view text, ServerBackend* out) {
-  if (text == "epoll") {
-    *out = ServerBackend::kEpoll;
-  } else if (text == "io_uring" || text == "uring") {
-    *out = ServerBackend::kIoUring;
-  } else if (text == "auto") {
-    *out = ServerBackend::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 WatchmanServer::WatchmanServer(Watchman* cache, Options options)
     : cache_(cache),
@@ -188,62 +137,36 @@ Status WatchmanServer::Start() {
     return status;
   }
 
-  // Resolve the serving backend before spawning any thread: kAuto
-  // silently takes whatever the kernel offers, kIoUring logs its
-  // fallback so operators notice the capability gap.
-  effective_backend_ = ServerBackend::kEpoll;
-  if (options_.backend != ServerBackend::kEpoll) {
-    std::unique_ptr<Uring> ring;
-    if (!options_.simulate_io_uring_unavailable && Uring::KernelSupported()) {
-      ring = std::make_unique<Uring>();  // alloc-ok: Start()-time backend probe
-      const Status ring_status = ring->Init(kUringSqDepth);
-      if (!ring_status.ok()) ring.reset();
-    }
-    if (ring != nullptr) {
-      ring->SetupBuffers(0, kUringBufCount, kUringBufBytes);
-      uring_ = std::move(ring);
-      effective_backend_ = ServerBackend::kIoUring;
-    } else if (options_.backend == ServerBackend::kIoUring) {
-      WATCHMAN_LOG(Warning)
-          << "io_uring backend requested but this kernel cannot provide "
-             "io_uring; falling back to epoll";
-    }
-  }
-
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) {
     const Status status =
         Status::IOError(std::string("eventfd: ") + ErrnoString(errno));
-    uring_.reset();
     ::close(fd);
     return status;
   }
-  if (effective_backend_ == ServerBackend::kEpoll) {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) {
-      const Status status =
-          Status::IOError(std::string("epoll: ") + ErrnoString(errno));
-      ::close(wake_fd_);
-      wake_fd_ = -1;
-      ::close(fd);
-      return status;
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    const int add_listen = ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    ev.data.fd = wake_fd_;
-    const int add_wake =
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-    if (add_listen != 0 || add_wake != 0) {
-      const Status status =
-          Status::IOError(std::string("epoll_ctl: ") + ErrnoString(errno));
-      ::close(epoll_fd_);
-      ::close(wake_fd_);
-      epoll_fd_ = wake_fd_ = -1;
-      ::close(fd);
-      return status;
-    }
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) {
+    const Status status =
+        Status::IOError(std::string("epoll: ") + ErrnoString(errno));
+    ::close(wake_fd_);
+    wake_fd_ = -1;
+    ::close(fd);
+    return status;
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  const int add_listen = ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+  ev.data.fd = wake_fd_;
+  const int add_wake = ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+  if (add_listen != 0 || add_wake != 0) {
+    const Status status =
+        Status::IOError(std::string("epoll_ctl: ") + ErrnoString(errno));
+    ::close(epoll_fd_);
+    ::close(wake_fd_);
+    epoll_fd_ = wake_fd_ = -1;
+    ::close(fd);
+    return status;
   }
 
   // Admin HTTP listener (same event loop, same bind address).
@@ -255,13 +178,10 @@ Status WatchmanServer::Start() {
         ::close(admin_listen_fd_);
         admin_listen_fd_ = -1;
       }
-      if (epoll_fd_ >= 0) {
-        ::close(epoll_fd_);
-        epoll_fd_ = -1;
-      }
+      ::close(epoll_fd_);
+      epoll_fd_ = -1;
       ::close(wake_fd_);
       wake_fd_ = -1;
-      uring_.reset();
       ::close(fd);
       return status;
     };
@@ -286,13 +206,9 @@ Status WatchmanServer::Start() {
       return fail("admin getsockname");
     }
     if (!SetNonBlocking(afd)) return fail("admin fcntl");
-    if (effective_backend_ == ServerBackend::kEpoll) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = afd;
-      if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, afd, &ev) != 0) {
-        return fail("admin epoll_ctl");
-      }
+    ev.data.fd = afd;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, afd, &ev) != 0) {
+      return fail("admin epoll_ctl");
     }
     admin_bound_port_ = ntohs(abound.sin_port);
   }
@@ -301,37 +217,27 @@ Status WatchmanServer::Start() {
   listen_fd_ = fd;
   start_time_ = std::chrono::steady_clock::now();
   accept_paused_ = false;
-  accept_armed_ = false;
   admin_accept_paused_ = false;
-  admin_accept_armed_ = false;
-  wake_armed_ = false;
   if (!info_registered_) {
     info_registered_ = true;
     registry_.AddGaugeFn(
         "watchman_server_info",
         "Constant 1; labels carry the serving backend and cache policy.",
-        {{"backend", ServerBackendName(effective_backend_)},
+        {{"backend", kBackendName},
          {"policy", cache_->policy_name()}},
         [] { return 1.0; });
   }
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
 
-  io_thread_ = std::thread([this] {
-    if (effective_backend_ == ServerBackend::kIoUring) {
-      UringLoop();
-    } else {
-      IoLoop();
-    }
-  });
+  io_thread_ = std::thread([this] { IoLoop(); });
   const size_t workers = options_.num_workers == 0 ? 1 : options_.num_workers;
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   WATCHMAN_LOG(Info) << "watchmand listening on " << options_.bind_address
-                     << ":" << bound_port_ << " ("
-                     << ServerBackendName(effective_backend_)
+                     << ":" << bound_port_ << " (" << kBackendName
                      << " event loop, " << workers << " workers)";
   if (admin_listen_fd_ >= 0) {
     WATCHMAN_LOG(Info) << "admin endpoint on " << options_.bind_address << ":"
@@ -362,23 +268,12 @@ void WatchmanServer::Stop() {
   // joined above, so no other thread can hold the role (or touch any
   // guarded state) during teardown.
   ThreadRoleGrant io_role(io_thread_role);
-  // All threads are gone: tear down every remaining socket. Closing the
-  // ring cancels whatever SQEs still reference these fds.
+  // All threads are gone: tear down every remaining socket.
   for (auto& [fd, conn] : conns_) {
     ::close(fd);
     conn->fd = -1;
   }
   conns_.clear();
-  for (auto& conn : uring_closing_) {
-    if (conn->defunct_fd >= 0) {
-      ::close(conn->defunct_fd);
-      conn->defunct_fd = -1;
-    }
-  }
-  uring_closing_.clear();
-  uring_conns_.clear();
-  uring_rearm_.clear();
-  uring_.reset();
   finishing_.clear();
   paused_reads_.clear();
   {
@@ -526,20 +421,15 @@ void WatchmanServer::AdoptConnection(int conn_fd, bool is_admin) {
     conn->outbuf = body_pool_.Acquire();
   }
   conn->last_progress_ms.store(NowMs(), std::memory_order_relaxed);
-  if (effective_backend_ == ServerBackend::kIoUring) {
-    uring_conns_.emplace(conn.get(), conn);
-    UringArmRecv(conn);
-  } else {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = conn_fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn_fd, &ev) != 0) {
-      // ENOMEM / watch-limit exhaustion: a connection that can never be
-      // polled would hang its peer and leak; refuse it instead.
-      conn->fd = -1;
-      ::close(conn_fd);
-      return;
-    }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = conn_fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn_fd, &ev) != 0) {
+    // ENOMEM / watch-limit exhaustion: a connection that can never be
+    // polled would hang its peer and leak; refuse it instead.
+    conn->fd = -1;
+    ::close(conn_fd);
+    return;
   }
   conns_.emplace(conn_fd, conn);
   connections_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -887,10 +777,6 @@ void WatchmanServer::HandleAdminData(const std::shared_ptr<Connection>& conn) {
 /// socket at EOF is permanently readable and would spin a
 /// level-triggered loop), epoll writes are on while output is pending.
 void WatchmanServer::RearmInterest(const std::shared_ptr<Connection>& conn) {
-  if (effective_backend_ == ServerBackend::kIoUring) {
-    UringUpdateReadInterest(conn);
-    return;
-  }
   if (conn->fd < 0) return;
   const bool read_off =
       conn->read_paused || conn->input_closed.load(std::memory_order_acquire);
@@ -907,12 +793,6 @@ void WatchmanServer::UpdateWriteInterest(
   {
     MutexLock lock(conn->out_mu);
     pending = !conn->send_error && conn->out_off < conn->outbuf.size();
-  }
-  if (effective_backend_ == ServerBackend::kIoUring) {
-    // One-shot POLLOUT: armed while output is pending; an arm that
-    // fires with nothing left to write is harmless, so no disarm.
-    if (pending && !conn->pollout_armed) UringArmPollOut(conn);
-    return;
   }
   if (pending == conn->want_write) return;
   conn->want_write = pending;
@@ -985,32 +865,16 @@ void WatchmanServer::FinishConnection(
 void WatchmanServer::SweepConnections() {
   // Retry accepting after fd exhaustion (one tick duty cycle, not a
   // spin).
-  if (accept_paused_ && listen_fd_ >= 0) {
-    if (effective_backend_ == ServerBackend::kIoUring) {
-      accept_paused_ = false;
-      UringArmAccept(/*admin=*/false);
-    } else {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = listen_fd_;
-      if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) == 0) {
-        accept_paused_ = false;
-        AcceptReady(/*admin=*/false);
-      }
-    }
-  }
-  if (admin_accept_paused_ && admin_listen_fd_ >= 0) {
-    if (effective_backend_ == ServerBackend::kIoUring) {
-      admin_accept_paused_ = false;
-      UringArmAccept(/*admin=*/true);
-    } else {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = admin_listen_fd_;
-      if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, admin_listen_fd_, &ev) == 0) {
-        admin_accept_paused_ = false;
-        AcceptReady(/*admin=*/true);
-      }
+  for (const bool admin : {false, true}) {
+    bool& paused = admin ? admin_accept_paused_ : accept_paused_;
+    const int lfd = admin ? admin_listen_fd_ : listen_fd_;
+    if (!paused || lfd < 0) continue;
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = lfd;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, lfd, &ev) == 0) {
+      paused = false;
+      AcceptReady(admin);
     }
   }
   // Resume paused reads once workers drained half the backlog.
@@ -1134,10 +998,6 @@ void WatchmanServer::ProcessDirtyConnections() {
 
 void WatchmanServer::CloseConnection(
     const std::shared_ptr<Connection>& conn) {
-  if (effective_backend_ == ServerBackend::kIoUring) {
-    UringCloseConnection(conn);
-    return;
-  }
   if (conn->fd < 0) return;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
@@ -1149,9 +1009,9 @@ void WatchmanServer::CloseConnection(
 
 void WatchmanServer::ReleaseConnectionBuffers(
     const std::shared_ptr<Connection>& conn) {
-  // Single final-close hook shared by both backends: release the
-  // admission slot and the never-flushed output bytes here so every
-  // close path balances the books exactly once.
+  // Single final-close hook: release the admission slot and the
+  // never-flushed output bytes here so every close path balances the
+  // books exactly once.
   if (conn->peer_counted) {
     conn->peer_counted = false;
     admission_.ConnectionClosed(conn->peer_key);
@@ -1170,10 +1030,6 @@ void WatchmanServer::ReleaseConnectionBuffers(
     conn->out_off = 0;
   }
   body_pool_.Release(std::move(out));
-  if (conn->chunk.capacity() > 0) {
-    body_pool_.Release(std::move(conn->chunk));
-    conn->chunk = std::string();
-  }
 }
 
 void WatchmanServer::MaybeCompactIdle() {
@@ -1198,297 +1054,7 @@ void WatchmanServer::RunCompaction() {
   last_compaction_ms_.store(NowMs(), std::memory_order_relaxed);
 }
 
-// --------------------------------------------------- io_uring IO thread
-
-void WatchmanServer::UringLoop() {
-  // This thread IS the IO thread (io_uring flavour); see IoLoop().
-  ThreadRoleGrant io_role(io_thread_role);
-  UringArmAccept(/*admin=*/false);
-  UringArmAccept(/*admin=*/true);
-  UringArmWake();
-  std::vector<Uring::Completion> cqes;
-  cqes.reserve(kUringSqDepth);
-  while (!stop_.load(std::memory_order_acquire)) {
-    inline_budget_used_ = 0;
-    // One syscall submits everything armed since the last tick AND
-    // waits for the next batch of completions.
-    uring_->SubmitAndWait(1, options_.poll_interval_ms);
-    cqes.clear();
-    uring_->DrainCompletions(&cqes);
-    uring_rearm_.clear();
-    for (const Uring::Completion& c : cqes) {
-      if (c.user_data == kUdAccept) {
-        HandleAcceptCqe(c.res, c.flags, /*admin=*/false);
-        continue;
-      }
-      if (c.user_data == kUdAdminAccept) {
-        HandleAcceptCqe(c.res, c.flags, /*admin=*/true);
-        continue;
-      }
-      if (c.user_data == kUdWake) {
-        wake_armed_ = false;  // one-shot poll; re-armed below
-        uint64_t junk = 0;
-        [[maybe_unused]] const ssize_t r =
-            ::read(wake_fd_, &junk, sizeof(junk));
-        continue;
-      }
-      Connection* raw =
-          reinterpret_cast<Connection*>(c.user_data & ~kUdTagMask);
-      auto it = uring_conns_.find(raw);
-      if (it == uring_conns_.end()) continue;  // defensively: unknown op
-      std::shared_ptr<Connection> conn = it->second;
-      switch (c.user_data & kUdTagMask) {
-        case kUdRecv:
-          HandleRecvCqe(conn, c.res, c.flags);
-          break;
-        case kUdPollOut:
-          if (conn->uring_inflight > 0) --conn->uring_inflight;
-          conn->pollout_armed = false;
-          if (conn->fd >= 0 && c.res >= 0) {
-            MutexLock lock(conn->out_mu);
-            FlushLocked(conn.get());
-          }
-          if (conn->fd >= 0) uring_rearm_.push_back(conn);
-          break;
-        case kUdCancel:
-          if (conn->uring_inflight > 0) --conn->uring_inflight;
-          break;
-        default:
-          break;
-      }
-    }
-    // Re-arm and run the close state machine once per touched
-    // connection, after the whole batch (buffers recycled, flags
-    // settled).
-    for (const auto& conn : uring_rearm_) {
-      if (conn->fd < 0) continue;
-      UringUpdateReadInterest(conn);
-      UpdateWriteInterest(conn);
-      FinishConnection(conn);
-    }
-    if (!accept_armed_ && !accept_paused_ && listen_fd_ >= 0) {
-      UringArmAccept(/*admin=*/false);
-    }
-    if (!admin_accept_armed_ && !admin_accept_paused_ &&
-        admin_listen_fd_ >= 0) {
-      UringArmAccept(/*admin=*/true);
-    }
-    if (!wake_armed_) UringArmWake();
-    ProcessDirtyConnections();
-    SweepConnections();
-    ReapUringClosing();
-  }
-}
-
-void WatchmanServer::UringArmAccept(bool admin) {
-  bool& armed = admin ? admin_accept_armed_ : accept_armed_;
-  const int lfd = admin ? admin_listen_fd_ : listen_fd_;
-  if (armed || lfd < 0) return;
-  io_uring_sqe* sqe = uring_->GetSqe();
-  if (sqe == nullptr) return;
-  sqe->opcode = IORING_OP_ACCEPT;
-  sqe->fd = lfd;
-  // Accepted sockets stay non-blocking: the shared output path still
-  // uses direct send().
-  sqe->accept_flags = SOCK_NONBLOCK | SOCK_CLOEXEC;
-  if (uring_multishot_accept_ok_) sqe->ioprio = IORING_ACCEPT_MULTISHOT;
-  sqe->user_data = admin ? kUdAdminAccept : kUdAccept;
-  armed = true;
-}
-
-void WatchmanServer::UringArmWake() {
-  if (wake_armed_ || wake_fd_ < 0) return;
-  io_uring_sqe* sqe = uring_->GetSqe();
-  if (sqe == nullptr) return;
-  sqe->opcode = IORING_OP_POLL_ADD;
-  sqe->fd = wake_fd_;
-  sqe->poll32_events = POLLIN;
-  sqe->user_data = kUdWake;
-  wake_armed_ = true;
-}
-
-void WatchmanServer::UringArmRecv(const std::shared_ptr<Connection>& conn) {
-  if (conn->recv_armed || conn->fd < 0) return;
-  io_uring_sqe* sqe = uring_->GetSqe();
-  if (sqe == nullptr) return;
-  sqe->opcode = IORING_OP_RECV;
-  sqe->fd = conn->fd;
-  if (uring_->has_buffers() && uring_multishot_recv_ok_) {
-    // Multishot: one SQE keeps delivering completions, each carrying a
-    // kernel-picked buffer from the registered ring.
-    sqe->flags = IOSQE_BUFFER_SELECT;
-    sqe->buf_group = uring_->buf_group();
-    sqe->ioprio = IORING_RECV_MULTISHOT;
-  } else {
-    if (conn->chunk.size() != kUringChunkBytes) {
-      conn->chunk = body_pool_.Acquire();
-      conn->chunk.resize(kUringChunkBytes);
-    }
-    sqe->addr = reinterpret_cast<uint64_t>(conn->chunk.data());
-    sqe->len = static_cast<uint32_t>(conn->chunk.size());
-  }
-  sqe->user_data = ConnUserData(conn.get(), kUdRecv);
-  conn->recv_armed = true;
-  ++conn->uring_inflight;
-}
-
-void WatchmanServer::UringCancelRecv(
-    const std::shared_ptr<Connection>& conn) {
-  if (!conn->recv_armed || conn->recv_cancel_pending) return;
-  io_uring_sqe* sqe = uring_->GetSqe();
-  if (sqe == nullptr) return;
-  sqe->opcode = IORING_OP_ASYNC_CANCEL;
-  sqe->addr = ConnUserData(conn.get(), kUdRecv);
-  sqe->user_data = ConnUserData(conn.get(), kUdCancel);
-  conn->recv_cancel_pending = true;
-  ++conn->uring_inflight;
-}
-
-void WatchmanServer::UringArmPollOut(
-    const std::shared_ptr<Connection>& conn) {
-  if (conn->pollout_armed || conn->fd < 0) return;
-  io_uring_sqe* sqe = uring_->GetSqe();
-  if (sqe == nullptr) return;
-  sqe->opcode = IORING_OP_POLL_ADD;
-  sqe->fd = conn->fd;
-  sqe->poll32_events = POLLOUT | POLLERR | POLLHUP;
-  sqe->user_data = ConnUserData(conn.get(), kUdPollOut);
-  conn->pollout_armed = true;
-  ++conn->uring_inflight;
-}
-
-void WatchmanServer::UringUpdateReadInterest(
-    const std::shared_ptr<Connection>& conn) {
-  if (conn->fd < 0) return;
-  const bool desired = !conn->read_paused &&
-                       !conn->input_closed.load(std::memory_order_acquire);
-  if (desired) {
-    UringArmRecv(conn);  // no-op while armed
-  } else if (conn->recv_armed) {
-    UringCancelRecv(conn);  // no-op while a cancel is pending
-  }
-}
-
-void WatchmanServer::HandleAcceptCqe(int32_t res, uint32_t flags,
-                                     bool admin) {
-  if ((flags & IORING_CQE_F_MORE) == 0) {
-    (admin ? admin_accept_armed_ : accept_armed_) = false;
-  }
-  if (res >= 0) {
-    AdoptConnection(res, admin);
-    return;
-  }
-  if (res == -EINVAL && uring_multishot_accept_ok_) {
-    // Kernel without multishot accept: degrade to one-shot re-arming.
-    uring_multishot_accept_ok_ = false;
-    return;
-  }
-  if (res == -EMFILE || res == -ENFILE || res == -ENOBUFS ||
-      res == -ENOMEM) {
-    (admin ? admin_accept_paused_ : accept_paused_) =
-        true;  // the sweep retries next tick
-  }
-}
-
-void WatchmanServer::HandleRecvCqe(const std::shared_ptr<Connection>& conn,
-                                   int32_t res, uint32_t flags) {
-  if ((flags & IORING_CQE_F_MORE) == 0) {
-    // The receive op terminated (one-shot done, multishot ended, error,
-    // or cancel landed): account the SQE and allow re-arming.
-    conn->recv_armed = false;
-    conn->recv_cancel_pending = false;
-    if (conn->uring_inflight > 0) --conn->uring_inflight;
-  }
-  const bool has_buf = (flags & IORING_CQE_F_BUFFER) != 0;
-  const uint16_t bid =
-      has_buf ? static_cast<uint16_t>(flags >> IORING_CQE_BUFFER_SHIFT) : 0;
-  if (res > 0) {
-    const char* data = has_buf ? uring_->BufferData(bid) : conn->chunk.data();
-    // Logically closed or draining: discard, but always recycle the
-    // kernel buffer. Draining is deliberately NOT progress (bounded by
-    // the sweep's drain timeout).
-    const bool discard =
-        conn->fd < 0 || conn->draining.load(std::memory_order_acquire);
-    if (!discard) {
-      conn->last_progress_ms.store(NowMs(), std::memory_order_relaxed);
-      conn->inbuf.append(data, static_cast<size_t>(res));
-    }
-    if (has_buf) uring_->RecycleBuffer(bid);
-    if (!discard) ParseFrames(conn);
-  } else {
-    if (has_buf) uring_->RecycleBuffer(bid);
-    if (res == 0) {
-      conn->input_closed.store(true, std::memory_order_release);
-    } else if (res == -ENOBUFS || res == -ECANCELED || res == -EAGAIN ||
-               res == -EINTR) {
-      // ENOBUFS: every provided buffer was in flight; this batch
-      // recycles them and the end-of-batch pass re-arms.
-    } else if (res == -EINVAL && uring_multishot_recv_ok_) {
-      // Kernel without multishot recv: degrade to one-shot reads.
-      uring_multishot_recv_ok_ = false;
-    } else {
-      conn->input_closed.store(true, std::memory_order_release);
-      MutexLock lock(conn->out_mu);
-      conn->send_error = true;
-    }
-  }
-  if (conn->fd >= 0) uring_rearm_.push_back(conn);
-}
-
-void WatchmanServer::UringCloseConnection(
-    const std::shared_ptr<Connection>& conn) {
-  if (conn->fd < 0) return;  // already logically or fully closed
-  conns_.erase(conn->fd);
-  connections_active_.fetch_sub(1, std::memory_order_relaxed);
-  // Cancel outstanding ops so their completions drain promptly; every
-  // cancel is itself a counted completion.
-  if (conn->recv_armed) UringCancelRecv(conn);
-  if (conn->pollout_armed) {
-    io_uring_sqe* sqe = uring_->GetSqe();
-    if (sqe != nullptr) {
-      sqe->opcode = IORING_OP_ASYNC_CANCEL;
-      sqe->addr = ConnUserData(conn.get(), kUdPollOut);
-      sqe->user_data = ConnUserData(conn.get(), kUdCancel);
-      ++conn->uring_inflight;
-    }
-  }
-  if (conn->uring_inflight == 0) {
-    ::close(conn->fd);
-    conn->fd = -1;
-    UringFinalClose(conn);
-    return;
-  }
-  // Deferred close: the fd stays open (but unreachable through conns_)
-  // until every SQE referencing this connection has completed, so a
-  // stale CQE can never act on a recycled fd.
-  conn->defunct_fd = conn->fd;
-  conn->fd = -1;
-  uring_closing_.push_back(conn);
-}
-
-void WatchmanServer::UringFinalClose(
-    const std::shared_ptr<Connection>& conn) {
-  if (conn->defunct_fd >= 0) {
-    ::close(conn->defunct_fd);
-    conn->defunct_fd = -1;
-  }
-  ReleaseConnectionBuffers(conn);
-  uring_conns_.erase(conn.get());
-}
-
-void WatchmanServer::ReapUringClosing() {
-  for (size_t i = 0; i < uring_closing_.size();) {
-    if (uring_closing_[i]->uring_inflight == 0) {
-      UringFinalClose(uring_closing_[i]);
-      uring_closing_[i] = uring_closing_.back();
-      uring_closing_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-}
-
-// ----------------------------------------------------- output (shared)
+// --------------------------------------------------------------- output
 
 bool WatchmanServer::QueueOutput(const std::shared_ptr<Connection>& conn,
                                  std::string_view bytes) {
@@ -1591,7 +1157,12 @@ void WatchmanServer::ProcessFrame(Work& work, WireRequest* request,
     // The stream decoded a frame but not a request; the peer speaks a
     // different dialect, so stop reading from it.
     conn->draining.store(true, std::memory_order_release);
-  } else {
+  }
+  // The request owns copies of its strings, so the body goes back to
+  // the pool now, before the response can reach the peer: a client's
+  // next frame then always finds a recycled body waiting.
+  body_pool_.Release(std::move(work.body));
+  if (decoded.ok()) {
     Dispatch(*request, response);
     t_done = NowNs();
     RecordOp(request->op, response->code, t_done - t_dispatch);
@@ -1649,7 +1220,6 @@ void WatchmanServer::ProcessFrame(Work& work, WireRequest* request,
       (prev == 1 && input_closed_hint)) {
     MarkDirty(conn);
   }
-  body_pool_.Release(std::move(work.body));
 }
 
 void WatchmanServer::Dispatch(const WireRequest& request,
@@ -2019,7 +1589,7 @@ WireStats WatchmanServer::StatsSnapshot() const {
     out.last_compaction_age_ms =
         age > 0 ? static_cast<uint64_t>(age) : 0;
   }
-  out.backend = ServerBackendName(effective_backend_);
+  out.backend = kBackendName;
   for (size_t i = 0; i < kNumOpCodes; ++i) {
     const OpCounters counters =
         op_counters(static_cast<OpCode>(i + 1));

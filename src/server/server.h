@@ -13,16 +13,11 @@
 // connection may complete out of order (the v3 request id lets clients
 // re-correlate).
 //
-// Event backends: the IO thread runs on either epoll (default,
-// universal) or io_uring (Options::backend / --backend flag). The
-// io_uring loop arms multishot accept and multishot receive with a
-// registered provided-buffer ring, so a pipelined burst of N frames
-// costs O(1) io_uring_enter calls instead of one epoll_wait plus one
-// recv per wakeup; on kernels without a feature it degrades op by op
-// (one-shot accept/recv) and on kernels without usable io_uring at all
-// `auto`/`io_uring` fall back to epoll with a logged warning. Workers
-// are backend-agnostic: the direct-send output path is shared, and the
-// io_uring loop only replaces the readiness/ingest side.
+// Event loop: the IO thread runs one level-triggered epoll loop over
+// the listen sockets, a wake eventfd and every connection. Workers
+// never touch epoll: they append to a connection's output buffer, try a
+// direct non-blocking send, and flag the connection dirty when the IO
+// thread must resume a partial write or run the close path.
 //
 // Inline fast path: when a parsed frame is a cheap op (PING, GET,
 // STATS), the connection has no frames in flight (response ordering)
@@ -33,11 +28,11 @@
 // (Options::max_inline_burst) bounds how long the loop can stay in
 // inline mode so a PING flood cannot starve event processing.
 //
-// Allocation discipline: frame bodies, connection in/out buffers and
-// receive chunks are recycled through a FramePool, and the ready-queue
-// is a ring (FrameQueue), so the steady-state request path performs no
-// heap allocation (asserted by tests the same way allocation_test does
-// for the cache).
+// Allocation discipline: frame bodies and connection in/out buffers
+// are recycled through a FramePool, and the ready-queue is a ring
+// (FrameQueue), so the steady-state request path performs no heap
+// allocation (asserted by tests the same way allocation_test does for
+// the cache).
 //
 // Flow control and lifetime:
 //  * A connection whose decoded-frame backlog exceeds a cap stops being
@@ -105,8 +100,6 @@
 
 namespace watchman {
 
-class Uring;
-
 /// Capability token for "owned by the server's IO thread" state: the
 /// admission layer, connection registries and per-connection parse
 /// buffers are GUARDED_BY(io_thread_role), so a worker-side touch is a
@@ -118,22 +111,14 @@ class Uring;
 /// server's loop.
 inline ThreadRole io_thread_role;
 
-/// Event backend the IO thread runs on.
-enum class ServerBackend {
-  kEpoll,    // universal default
-  kIoUring,  // batched submission; falls back to epoll when unavailable
-  kAuto,     // io_uring when the kernel provides it, else epoll
-};
-
-/// Stable lower-case name ("epoll", "io_uring", "auto").
-const char* ServerBackendName(ServerBackend backend);
-
-/// Parses "epoll" / "io_uring" / "auto" (as spelled on --backend).
-bool ParseServerBackend(std::string_view text, ServerBackend* out);
-
 /// Event-loop TCP server exposing a Watchman facade.
 class WatchmanServer {
  public:
+  /// The event loop's name as reported by the STATS `backend` field,
+  /// the watchman_server_info{backend} label and watchmand's startup
+  /// line.
+  static constexpr const char* kBackendName = "epoll";
+
   struct Options {
     /// Address to bind (default loopback only).
     std::string bind_address = "127.0.0.1";
@@ -164,9 +149,6 @@ class WatchmanServer {
     /// Per-connection cap on frames enqueued but not yet answered;
     /// beyond it the connection's reads pause until workers catch up.
     size_t max_inflight_frames = 4096;
-    /// Event backend; kIoUring and kAuto fall back to epoll when the
-    /// kernel cannot provide io_uring (kIoUring logs a warning).
-    ServerBackend backend = ServerBackend::kEpoll;
     /// Dispatch cheap ops (PING/GET/STATS) inline on the IO thread when
     /// the connection has nothing in flight and the ready-queue is
     /// empty, skipping the worker hop.
@@ -192,9 +174,6 @@ class WatchmanServer {
     /// structured slow-request log line (WARN; JSON when the process
     /// log format is JSON). 0 disables. Requires `metrics`.
     int64_t slow_request_us = 0;
-    /// Test hook: pretend the kernel has no io_uring so the fallback
-    /// path is exercised deterministically.
-    bool simulate_io_uring_unavailable = false;
     /// Admission budgets (per-peer quotas, connection caps, global
     /// inflight/memory budgets). All default to unlimited; over-budget
     /// requests are answered with kShedRetryLater BEFORE dispatch, so a
@@ -248,9 +227,6 @@ class WatchmanServer {
   /// The metrics registry backing /metrics (embedders may render it
   /// themselves; safe to call while serving).
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
-
-  /// The backend actually serving after Start() resolved fallbacks.
-  ServerBackend effective_backend() const { return effective_backend_; }
 
   /// Snapshot of cache + transport counters (the STATS op payload).
   WireStats StatsSnapshot() const;
@@ -358,17 +334,6 @@ class WatchmanServer {
     bool output_shutdown GUARDED_BY(io_thread_role) = false;  // SHUT_WR sent
     /// Listed in finishing_.
     bool in_finishing GUARDED_BY(io_thread_role) = false;
-    // io_uring bookkeeping (IO thread only). The fd of a logically
-    // closed connection moves to defunct_fd until every outstanding
-    // SQE's completion has drained (uring_inflight), so a stale CQE can
-    // never be misattributed to a reused fd.
-    std::string chunk
-        GUARDED_BY(io_thread_role);  // one-shot recv buffer (no buffer ring)
-    int defunct_fd GUARDED_BY(io_thread_role) = -1;
-    uint32_t uring_inflight GUARDED_BY(io_thread_role) = 0;
-    bool recv_armed GUARDED_BY(io_thread_role) = false;
-    bool recv_cancel_pending GUARDED_BY(io_thread_role) = false;
-    bool pollout_armed GUARDED_BY(io_thread_role) = false;
     /// Read EOF/error seen (written by the IO thread; workers read it
     /// to decide whether the IO thread needs a wake-up).
     std::atomic<bool> input_closed{false};
@@ -396,19 +361,18 @@ class WatchmanServer {
   };
 
   void IoLoop();
-  void UringLoop();
   void WorkerLoop();
 
-  // IO-thread helpers (backend-shared unless noted). REQUIRES the IO
-  // role: a call from a worker path is a compile error.
-  /// epoll: drain accept4 until EAGAIN on the wire or admin listener.
+  // IO-thread helpers. REQUIRES the IO role: a call from a worker path
+  // is a compile error.
+  /// Drains accept4 until EAGAIN on the wire or admin listener.
   void AcceptReady(bool admin) REQUIRES(io_thread_role);
   /// Registers one accepted socket (socket options, pooled buffers,
-  /// read arming) on the active backend.
+  /// read interest with epoll).
   void AdoptConnection(int conn_fd, bool is_admin)
       REQUIRES(io_thread_role);
   void ReadReady(const std::shared_ptr<Connection>& conn)
-      REQUIRES(io_thread_role);  // epoll
+      REQUIRES(io_thread_role);
   void ParseFrames(const std::shared_ptr<Connection>& conn)
       REQUIRES(io_thread_role);
   /// Parses + answers the HTTP request buffered on an admin connection;
@@ -457,29 +421,6 @@ class WatchmanServer {
   /// Also the COMPACT op's handler, so callable from any worker.
   void RunCompaction();
 
-  // io_uring-loop helpers (IO thread only).
-  void UringArmAccept(bool admin) REQUIRES(io_thread_role);
-  void UringArmWake() REQUIRES(io_thread_role);
-  void UringArmRecv(const std::shared_ptr<Connection>& conn)
-      REQUIRES(io_thread_role);
-  void UringCancelRecv(const std::shared_ptr<Connection>& conn)
-      REQUIRES(io_thread_role);
-  void UringArmPollOut(const std::shared_ptr<Connection>& conn)
-      REQUIRES(io_thread_role);
-  void UringUpdateReadInterest(const std::shared_ptr<Connection>& conn)
-      REQUIRES(io_thread_role);
-  void UringCloseConnection(const std::shared_ptr<Connection>& conn)
-      REQUIRES(io_thread_role);
-  /// Final teardown once no SQE references the connection.
-  void UringFinalClose(const std::shared_ptr<Connection>& conn)
-      REQUIRES(io_thread_role);
-  /// Closes deferred-close connections whose completions drained.
-  void ReapUringClosing() REQUIRES(io_thread_role);
-  void HandleAcceptCqe(int32_t res, uint32_t flags, bool admin)
-      REQUIRES(io_thread_role);
-  void HandleRecvCqe(const std::shared_ptr<Connection>& conn, int32_t res,
-                     uint32_t flags) REQUIRES(io_thread_role);
-
   /// Appends `bytes` to conn's output and attempts a direct
   /// non-blocking send; returns true when everything is on the wire
   /// (callable from workers and the IO thread).
@@ -511,7 +452,6 @@ class WatchmanServer {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   uint16_t bound_port_ = 0;
-  ServerBackend effective_backend_ = ServerBackend::kEpoll;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::thread io_thread_;
@@ -554,34 +494,12 @@ class WatchmanServer {
   /// Scratch for rendering admin responses (reused across requests).
   std::string admin_body_ GUARDED_BY(io_thread_role);
   std::string admin_response_ GUARDED_BY(io_thread_role);
-  /// The backend/policy info gauge registers in Start() (once the
-  /// effective backend is known), at most once per server instance.
+  /// The backend/policy info gauge registers in Start(), at most once
+  /// per server instance.
   bool info_registered_ GUARDED_BY(io_thread_role) = false;
 
-  // io_uring backend state (IO thread only; the ring itself is created
-  // in Start() and destroyed in Stop(), both outside the role's reign).
-  std::unique_ptr<Uring> uring_;
-  bool accept_armed_ GUARDED_BY(io_thread_role) = false;
-  bool admin_accept_armed_ GUARDED_BY(io_thread_role) = false;
-  bool wake_armed_ GUARDED_BY(io_thread_role) = false;
-  /// Cleared when the kernel answers a multishot arm with EINVAL; the
-  /// loop then degrades to one-shot re-arming for that op.
-  bool uring_multishot_accept_ok_ GUARDED_BY(io_thread_role) = true;
-  bool uring_multishot_recv_ok_ GUARDED_BY(io_thread_role) = true;
-  /// Keeps every SQE-referenced connection alive until its completions
-  /// drain; CQE user_data pointers resolve here.
-  std::unordered_map<Connection*, std::shared_ptr<Connection>> uring_conns_
-      GUARDED_BY(io_thread_role);
-  /// Logically closed connections awaiting completion drain.
-  std::vector<std::shared_ptr<Connection>> uring_closing_
-      GUARDED_BY(io_thread_role);
-  /// Connections touched by this CQE batch (re-arm + finish once at
-  /// batch end).
-  std::vector<std::shared_ptr<Connection>> uring_rearm_
-      GUARDED_BY(io_thread_role);
-
-  /// Recycled frame bodies, connection buffers and recv chunks
-  /// (internally synchronized: workers release, the IO thread acquires).
+  /// Recycled frame bodies and connection buffers (internally
+  /// synchronized: workers release, the IO thread acquires).
   FramePool body_pool_;
 
   /// Decoded frames awaiting a worker.

@@ -140,30 +140,6 @@ void Watchman::RegisterDependencies(
   }
 }
 
-StatusOr<std::string> Watchman::GetPayload(const std::string& query_id) {
-  if (!store_breaker_.Allow(SteadyNowMs())) {
-    return Status::IOError("payload store circuit open");
-  }
-  Status st = FaultPoint(Fault::kStoreGetFail, "payload store Get");
-  StatusOr<std::string> result = std::string();
-  if (st.ok()) {
-    // Reader lock: payload fetches (the hit path) proceed concurrently.
-    SharedReaderLock lock(payload_mu_);
-    result = payloads_->Get(query_id);
-    st = result.status();
-  } else {
-    result = st;
-  }
-  // NotFound is a normal miss, not a store failure.
-  if (st.ok() || st.code() == StatusCode::kNotFound) {
-    store_breaker_.RecordSuccess();
-  } else {
-    store_breaker_.RecordFailure(SteadyNowMs());
-    metrics_.store_failures.Inc();
-  }
-  return result;
-}
-
 Status Watchman::GetPayloadInto(const std::string& query_id,
                                 std::string* out) {
   if (!store_breaker_.Allow(SteadyNowMs())) {
@@ -235,21 +211,17 @@ bool Watchman::InvalidatedSince(const std::string& query_id,
 
 void Watchman::OfferToCache(const QueryDescriptor& desc,
                             const ExecutionResult& result,
-                            uint64_t epoch_at_start, Timestamp now,
-                            bool record_reference) {
+                            uint64_t epoch_at_start, Timestamp now) {
   if (desc.result_bytes == 0) {
     // Empty retrieved sets are returned but never cached (the cache
     // rejects zero-size sets under every policy).
-    if (record_reference) cache_->Reference(desc, now);
+    cache_->Reference(desc, now);
     return;
   }
   const std::string query_id(desc.query_id());
-  bool newly_admitted = false;
-  if (record_reference) {
-    newly_admitted = !cache_->Reference(desc, now);
-  }
+  const bool newly_admitted = !cache_->Reference(desc, now);
   if (!cache_->Contains(desc.key)) return;  // rejected or raced out
-  if (record_reference && !newly_admitted && HasPayload(query_id)) {
+  if (!newly_admitted && HasPayload(query_id)) {
     // Deduplicated follower hitting the leader's already-published set:
     // nothing left to publish.
     return;
@@ -307,15 +279,14 @@ StatusOr<std::string> Watchman::Execute(const std::string& query_text) {
   const Timestamp now = NowTick();
 
   // Fast path: the reference is recorded under the shard lock only when
-  // the set is cached (the stored descriptor supplies size and cost).
-  bool already_referenced = false;
-  if (cache_->TryReferenceCached(scratch.probe, now)) {
-    StatusOr<std::string> payload = GetPayload(scratch.id);
-    if (payload.ok()) return payload;
-    // The payload vanished between the reference and the fetch
-    // (concurrent eviction, or an undone racing publish); execute and
-    // re-publish below. This call's reference is already counted.
-    already_referenced = true;
+  // the set is cached AND its payload is fetched there (the stored
+  // descriptor supplies size and cost). Otherwise nothing is counted
+  // and the miss path below records this call's one reference.
+  std::string cached;
+  if (cache_->TryReferenceCached(scratch.probe, now, [&] {
+        return GetPayloadInto(scratch.id, &cached).ok();
+      })) {
+    return cached;
   }
 
   // Miss path: copy out of the scratch before the executor runs -- it
@@ -336,7 +307,7 @@ StatusOr<std::string> Watchman::Execute(const std::string& query_text) {
   try {
     flight = flights_.Do(
         query_id,
-        [this, &query_text, &probe, now, already_referenced] {
+        [this, &query_text, &probe, now] {
           auto out = std::make_shared<FlightOutcome>();
           out->epoch_at_start =
               invalidation_epoch_.load(std::memory_order_acquire);
@@ -345,8 +316,7 @@ StatusOr<std::string> Watchman::Execute(const std::string& query_text) {
             QueryDescriptor desc = probe;
             desc.result_bytes = out->result->payload.size();
             desc.cost = out->result->cost;
-            OfferToCache(desc, *out->result, out->epoch_at_start, now,
-                         /*record_reference=*/!already_referenced);
+            OfferToCache(desc, *out->result, out->epoch_at_start, now);
           }
           return std::shared_ptr<const FlightOutcome>(std::move(out));
         },
@@ -359,14 +329,12 @@ StatusOr<std::string> Watchman::Execute(const std::string& query_text) {
     // A deduplicated follower still counts as one reference: normally a
     // hit on the leader's freshly admitted set -- exactly the cost the
     // shared execution saved -- and a fresh admission decision when the
-    // leader's offer was rejected. A caller whose fast-path reference
-    // already counted only repairs the payload.
+    // leader's offer was rejected.
     if (options_.metrics) metrics_.dedup_hits.Inc();
     QueryDescriptor desc = probe;
     desc.result_bytes = flight->result->payload.size();
     desc.cost = flight->result->cost;
-    OfferToCache(desc, *flight->result, flight->epoch_at_start, now,
-                 /*record_reference=*/!already_referenced);
+    OfferToCache(desc, *flight->result, flight->epoch_at_start, now);
   }
   if (options_.metrics && leader && flight != nullptr &&
       flight->result.ok()) {
@@ -411,23 +379,9 @@ void Watchman::ReleaseInflightOffer() {
 }
 
 StatusOr<std::string> Watchman::GetCached(const std::string& query_text) {
-  RequestScratch& scratch = Scratch();
-  MakeQueryIdInto(query_text, &scratch.id);
-  if (scratch.id.empty()) {
-    return Status::InvalidArgument("query text contains no tokens");
-  }
-  scratch.probe.key.Assign(scratch.id);
-  scratch.probe.result_bytes = 0;
-  scratch.probe.cost = 0;
-  if (!cache_->TryReferenceCached(scratch.probe, NowTick())) {
-    return Status::NotFound("not cached: " + scratch.id);
-  }
-  StatusOr<std::string> payload = GetPayload(scratch.id);
-  if (!payload.ok()) {
-    // Evicted between the reference and the fetch; report the miss (the
-    // recorded reference stands, matching a hit that raced an eviction).
-    return Status::NotFound("payload evicted concurrently: " + scratch.id);
-  }
+  std::string payload;
+  const Status status = GetCachedInto(query_text, &payload);
+  if (!status.ok()) return status;
   return payload;
 }
 
@@ -441,14 +395,14 @@ Status Watchman::GetCachedInto(const std::string& query_text,
   scratch.probe.key.Assign(scratch.id);
   scratch.probe.result_bytes = 0;
   scratch.probe.cost = 0;
-  if (!cache_->TryReferenceCached(scratch.probe, NowTick())) {
+  // The payload is fetched under the shard lock and the reference
+  // counted only if that succeeds: a set that is admitted but not yet
+  // published, evicted or invalidated answers NotFound with nothing
+  // recorded, so the caller's follow-up fill records the one reference.
+  if (!cache_->TryReferenceCached(scratch.probe, NowTick(), [&] {
+        return GetPayloadInto(scratch.id, out).ok();
+      })) {
     return Status::NotFound("not cached: " + scratch.id);
-  }
-  const Status fetched = GetPayloadInto(scratch.id, out);
-  if (!fetched.ok()) {
-    // Evicted between the reference and the fetch; report the miss (the
-    // recorded reference stands, matching a hit that raced an eviction).
-    return Status::NotFound("payload evicted concurrently: " + scratch.id);
   }
   return Status::OK();
 }

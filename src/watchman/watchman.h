@@ -172,7 +172,7 @@ class Watchman {
   /// Hit-only probe: returns the cached retrieved set of `query_text`,
   /// recording the reference exactly like a hit in Execute(); NotFound
   /// -- with no lookup counted and nothing executed -- when the set is
-  /// absent. This is the daemon's GET op: a remote caller probes, and
+  /// absent or its payload is not (or no longer) published. This is the daemon's GET op: a remote caller probes, and
   /// on NotFound materializes the result itself and offers it back
   /// through an Execute() miss-fill, so the two round trips together
   /// count as one reference, like one local Execute().
@@ -246,14 +246,13 @@ class Watchman {
   void RegisterDependencies(const std::string& query_id,
                             const std::vector<std::string>& relations);
 
-  /// Records one reference for `desc` (unless this call's reference was
-  /// already counted on the fast path) and, when the set is cached,
-  /// publishes the payload and coherence bookkeeping. Drops the entry
-  /// again if any of its relations was invalidated after
+  /// Records this call's one reference for `desc` and, when the set is
+  /// cached, publishes the payload and coherence bookkeeping. Drops the
+  /// entry again if any of its relations was invalidated after
   /// `epoch_at_start` (the execution read pre-update data).
   void OfferToCache(const QueryDescriptor& desc,
                     const ExecutionResult& result, uint64_t epoch_at_start,
-                    Timestamp now, bool record_reference = true);
+                    Timestamp now);
 
   /// True if the query itself or any of `relations` was invalidated
   /// after `epoch`.
@@ -266,7 +265,6 @@ class Watchman {
   /// execution can reference them anymore).
   void ReleaseInflightOffer();
 
-  StatusOr<std::string> GetPayload(const std::string& query_id);
   Status GetPayloadInto(const std::string& query_id, std::string* out);
   bool HasPayload(const std::string& query_id) const;
   Status PutPayload(const std::string& query_id, const std::string& payload);
@@ -282,6 +280,9 @@ class Watchman {
   /// stores are -- while Put/Erase are exclusive. (The pointee, not the
   /// unique_ptr, is the guarded object; the analysis tracks the lock
   /// sites in the payload helpers rather than a PT_GUARDED_BY member.)
+  /// Lock order: shard lock, then this (the hit path fetches and the
+  /// eviction listener erases under the shard lock); never take a shard
+  /// lock while holding it.
   mutable SharedMutex payload_mu_;
   /// Trips on consecutive store failures; while open, Put/Get short-
   /// circuit and misses are served uncached (Options::store_breaker).

@@ -1,8 +1,8 @@
 // Admin HTTP endpoint integration tests: a raw loopback socket speaks
-// HTTP to the /metrics listener running on the server's event loop, on
-// both backends. The exposition is checked with the shared Prometheus
-// text validator, and the wire STATS op is asserted to keep reporting
-// per-op latency from the same metric objects.
+// HTTP to the /metrics listener running on the server's event loop.
+// The exposition is checked with the shared Prometheus text validator,
+// and the wire STATS op is asserted to keep reporting per-op latency
+// from the same metric objects.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 
 #include "server/client.h"
 #include "server/server.h"
-#include "server/uring.h"
 #include "support/promtext.h"
 #include "watchman/watchman.h"
 
@@ -94,14 +93,8 @@ void SplitResponse(const std::string& response, std::string* status_line,
   *body = response.substr(sep + 4);
 }
 
-class AdminEndpointTest : public testing::TestWithParam<ServerBackend> {
+class AdminEndpointTest : public testing::Test {
  protected:
-  void SetUp() override {
-    if (GetParam() == ServerBackend::kIoUring && !Uring::KernelSupported()) {
-      GTEST_SKIP() << "kernel cannot run the io_uring backend";
-    }
-  }
-
   void StartServer(bool metrics = true) {
     Watchman::Options options;
     options.capacity_bytes = 1 << 20;
@@ -115,11 +108,9 @@ class AdminEndpointTest : public testing::TestWithParam<ServerBackend> {
     WatchmanServer::Options server_options;
     server_options.port = 0;
     server_options.admin_port = 0;  // ephemeral: parallel-safe in CI
-    server_options.backend = GetParam();
     server_options.metrics = metrics;
     server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
     ASSERT_TRUE(server_->Start().ok());
-    ASSERT_EQ(server_->effective_backend(), GetParam());
     ASSERT_NE(server_->admin_port(), 0);
   }
 
@@ -140,7 +131,7 @@ class AdminEndpointTest : public testing::TestWithParam<ServerBackend> {
   std::unique_ptr<WatchmanServer> server_;
 };
 
-TEST_P(AdminEndpointTest, HealthzAnswersOk) {
+TEST_F(AdminEndpointTest, HealthzAnswersOk) {
   StartServer();
   std::string status_line, body;
   SplitResponse(Get(server_->admin_port(), "/healthz"), &status_line, &body);
@@ -148,7 +139,7 @@ TEST_P(AdminEndpointTest, HealthzAnswersOk) {
   EXPECT_EQ(body, "ok\n");
 }
 
-TEST_P(AdminEndpointTest, MetricsIsValidPrometheusExposition) {
+TEST_F(AdminEndpointTest, MetricsIsValidPrometheusExposition) {
   StartServer();
   // Drive traffic so the cache / facade / server families carry data:
   // one execution, one hit, one ping.
@@ -188,10 +179,11 @@ TEST_P(AdminEndpointTest, MetricsIsValidPrometheusExposition) {
             std::string::npos);
   EXPECT_NE(body.find("watchman_server_request_seconds_bucket{op=\"execute\""),
             std::string::npos);
-  EXPECT_NE(body.find("watchman_server_info{backend=\""), std::string::npos);
+  EXPECT_NE(body.find("watchman_server_info{backend=\"epoll\""),
+            std::string::npos);
 }
 
-TEST_P(AdminEndpointTest, UnknownPathIs404AndBadMethodIs405) {
+TEST_F(AdminEndpointTest, UnknownPathIs404AndBadMethodIs405) {
   StartServer();
   std::string status_line, body;
   SplitResponse(Get(server_->admin_port(), "/nope"), &status_line, &body);
@@ -204,7 +196,7 @@ TEST_P(AdminEndpointTest, UnknownPathIs404AndBadMethodIs405) {
   EXPECT_EQ(status_line, "HTTP/1.0 405 Method Not Allowed");
 }
 
-TEST_P(AdminEndpointTest, MalformedRequestIs400) {
+TEST_F(AdminEndpointTest, MalformedRequestIs400) {
   StartServer();
   HttpConn conn(server_->admin_port());
   ASSERT_TRUE(conn.connected());
@@ -213,7 +205,7 @@ TEST_P(AdminEndpointTest, MalformedRequestIs400) {
   EXPECT_EQ(status_line, "HTTP/1.0 400 Bad Request");
 }
 
-TEST_P(AdminEndpointTest, SplitRequestAcrossPacketsStillParses) {
+TEST_F(AdminEndpointTest, SplitRequestAcrossPacketsStillParses) {
   StartServer();
   HttpConn conn(server_->admin_port());
   ASSERT_TRUE(conn.connected());
@@ -227,7 +219,7 @@ TEST_P(AdminEndpointTest, SplitRequestAcrossPacketsStillParses) {
   EXPECT_EQ(body, "ok\n");
 }
 
-TEST_P(AdminEndpointTest, WireStatsStillReportsLatencyFromSameRegistry) {
+TEST_F(AdminEndpointTest, WireStatsStillReportsLatencyFromSameRegistry) {
   StartServer();
   auto client = MakeClient();
   ASSERT_TRUE(client->Execute("q1").ok());
@@ -252,7 +244,7 @@ TEST_P(AdminEndpointTest, WireStatsStillReportsLatencyFromSameRegistry) {
   EXPECT_EQ(counters.latency_count, 1u);
 }
 
-TEST_P(AdminEndpointTest, MetricsDisabledStillServesCountersAndStats) {
+TEST_F(AdminEndpointTest, MetricsDisabledStillServesCountersAndStats) {
   StartServer(/*metrics=*/false);
   auto client = MakeClient();
   ASSERT_TRUE(client->Execute("q1").ok());
@@ -271,7 +263,7 @@ TEST_P(AdminEndpointTest, MetricsDisabledStillServesCountersAndStats) {
   EXPECT_EQ(counters.latency_count, 0u);
 }
 
-TEST_P(AdminEndpointTest, ScrapeUnderLoadStaysConsistent) {
+TEST_F(AdminEndpointTest, ScrapeUnderLoadStaysConsistent) {
   StartServer();
   auto client = MakeClient();
   for (int i = 0; i < 50; ++i) {
@@ -287,7 +279,7 @@ TEST_P(AdminEndpointTest, ScrapeUnderLoadStaysConsistent) {
   }
 }
 
-TEST_P(AdminEndpointTest, AdminDisabledByDefault) {
+TEST_F(AdminEndpointTest, AdminDisabledByDefault) {
   Watchman::Options options;
   cache_ = std::make_unique<Watchman>(
       std::move(options),
@@ -296,16 +288,10 @@ TEST_P(AdminEndpointTest, AdminDisabledByDefault) {
       });
   WatchmanServer::Options server_options;
   server_options.port = 0;
-  server_options.backend = GetParam();
   server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
   ASSERT_TRUE(server_->Start().ok());
   EXPECT_EQ(server_->admin_port(), 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, AdminEndpointTest,
-    testing::Values(ServerBackend::kEpoll, ServerBackend::kIoUring),
-    [](const auto& info) { return std::string(ServerBackendName(info.param)); });
 
 }  // namespace
 }  // namespace watchman

@@ -1,9 +1,7 @@
 // Overload-protection integration tests: the admission layer's quota /
 // connection-cap / global-budget shedding over a real loopback socket,
 // the clients' shed-retry behavior, admin listener hardening, and the
-// visibility of every shed event on /metrics. Parameterized over both
-// event backends -- admission runs in the shared frame-parse path, and
-// these tests keep it that way.
+// visibility of every shed event on /metrics.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +20,6 @@
 
 #include "server/client.h"
 #include "server/server.h"
-#include "server/uring.h"
 #include "watchman/watchman.h"
 
 namespace watchman {
@@ -73,18 +70,11 @@ class HttpConn {
   bool connected_ = false;
 };
 
-class OverloadTest : public testing::TestWithParam<ServerBackend> {
+class OverloadTest : public testing::Test {
  protected:
-  void SetUp() override {
-    if (GetParam() == ServerBackend::kIoUring && !Uring::KernelSupported()) {
-      GTEST_SKIP() << "kernel cannot run the io_uring backend";
-    }
-  }
-
-  WatchmanServer::Options BackendOptions() const {
+  static WatchmanServer::Options BaseOptions() {
     WatchmanServer::Options server_options;
     server_options.port = 0;
-    server_options.backend = GetParam();
     return server_options;
   }
 
@@ -96,7 +86,6 @@ class OverloadTest : public testing::TestWithParam<ServerBackend> {
     server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
-    ASSERT_EQ(server_->effective_backend(), GetParam());
   }
 
   WatchmanClient::Options ClientOptions(int shed_retries = 0) const {
@@ -124,8 +113,8 @@ class OverloadTest : public testing::TestWithParam<ServerBackend> {
   std::unique_ptr<WatchmanServer> server_;
 };
 
-TEST_P(OverloadTest, PeerQuotaShedsAbuserWhileNeighborIsServed) {
-  WatchmanServer::Options server_options = BackendOptions();
+TEST_F(OverloadTest, PeerQuotaShedsAbuserWhileNeighborIsServed) {
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.peer_requests_per_sec = 50;
   server_options.admission.peer_burst = 2;
   StartServer(server_options);
@@ -163,8 +152,8 @@ TEST_P(OverloadTest, PeerQuotaShedsAbuserWhileNeighborIsServed) {
   ASSERT_TRUE(Eventually([&] { return abuser->Ping().ok(); }));
 }
 
-TEST_P(OverloadTest, ClientShedRetriesSucceedAfterBackoff) {
-  WatchmanServer::Options server_options = BackendOptions();
+TEST_F(OverloadTest, ClientShedRetriesSucceedAfterBackoff) {
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.peer_requests_per_sec = 100;
   server_options.admission.peer_burst = 1;
   StartServer(server_options);
@@ -178,8 +167,8 @@ TEST_P(OverloadTest, ClientShedRetriesSucceedAfterBackoff) {
   EXPECT_GE(server_->sheds(ShedReason::kPeerQuota), 1u);
 }
 
-TEST_P(OverloadTest, ConnectionCapShedsSecondConnection) {
-  WatchmanServer::Options server_options = BackendOptions();
+TEST_F(OverloadTest, ConnectionCapShedsSecondConnection) {
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.max_connections_per_peer = 1;
   StartServer(server_options);
 
@@ -201,8 +190,8 @@ TEST_P(OverloadTest, ConnectionCapShedsSecondConnection) {
   }));
 }
 
-TEST_P(OverloadTest, GlobalInflightBudgetShedsPipelinedBurst) {
-  WatchmanServer::Options server_options = BackendOptions();
+TEST_F(OverloadTest, GlobalInflightBudgetShedsPipelinedBurst) {
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.max_global_inflight = 1;
   server_options.num_workers = 1;
   StartServer(server_options);
@@ -245,8 +234,8 @@ TEST_P(OverloadTest, GlobalInflightBudgetShedsPipelinedBurst) {
             static_cast<uint64_t>(shed));
 }
 
-TEST_P(OverloadTest, AdminConnectionCapRefusesExcess) {
-  WatchmanServer::Options server_options = BackendOptions();
+TEST_F(OverloadTest, AdminConnectionCapRefusesExcess) {
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admin_port = 0;  // enable on an ephemeral port
   server_options.max_admin_connections = 1;
   server_options.admin_header_timeout_ms = 0;  // isolate the cap
@@ -270,8 +259,8 @@ TEST_P(OverloadTest, AdminConnectionCapRefusesExcess) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
-TEST_P(OverloadTest, AdminSlowlorisHeaderDeadlineCloses) {
-  WatchmanServer::Options server_options = BackendOptions();
+TEST_F(OverloadTest, AdminSlowlorisHeaderDeadlineCloses) {
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admin_port = 0;
   server_options.admin_header_timeout_ms = 100;
   StartServer(server_options);
@@ -296,8 +285,8 @@ TEST_P(OverloadTest, AdminSlowlorisHeaderDeadlineCloses) {
   EXPECT_NE(fast.ReadToEof().find("200"), std::string::npos);
 }
 
-TEST_P(OverloadTest, ShedCountersVisibleOnMetricsEndpoint) {
-  WatchmanServer::Options server_options = BackendOptions();
+TEST_F(OverloadTest, ShedCountersVisibleOnMetricsEndpoint) {
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.peer_requests_per_sec = 50;
   server_options.admission.peer_burst = 1;
   server_options.admin_port = 0;
@@ -326,13 +315,6 @@ TEST_P(OverloadTest, ShedCountersVisibleOnMetricsEndpoint) {
             std::string::npos);
   EXPECT_NE(body.find("watchman_store_breaker_state"), std::string::npos);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, OverloadTest,
-    testing::Values(ServerBackend::kEpoll, ServerBackend::kIoUring),
-    [](const testing::TestParamInfo<ServerBackend>& info) {
-      return std::string(ServerBackendName(info.param));
-    });
 
 }  // namespace
 }  // namespace watchman

@@ -371,7 +371,7 @@ TEST(ProtocolTest, StatsResponseRoundTripsAllFields) {
   s.frames_rejected = 1;
   s.compactions = 7;
   s.last_compaction_age_ms = 3456;
-  s.backend = "io_uring";
+  s.backend = "epoll";
   WireOpMetrics m;
   m.op = static_cast<uint8_t>(OpCode::kExecute);
   m.requests = 500;

@@ -4,7 +4,7 @@
 // (minus the client thread driving traffic) and the measured window
 // must record zero allocations on the server's IO thread and workers.
 //
-// Two paths are measured per backend:
+// Two paths are measured:
 //  * the inline fast path -- a blocking client's PING/GET round trips
 //    are answered on the IO thread, reusing the connection buffers and
 //    the IO-thread request/response scratch;
@@ -23,21 +23,14 @@
 
 #include "server/client.h"
 #include "server/server.h"
-#include "server/uring.h"
 #include "support/counting_alloc.h"
 #include "watchman/watchman.h"
 
 namespace watchman {
 namespace {
 
-class ServerAllocTest : public testing::TestWithParam<ServerBackend> {
+class ServerAllocTest : public testing::Test {
  protected:
-  void SetUp() override {
-    if (GetParam() == ServerBackend::kIoUring && !Uring::KernelSupported()) {
-      GTEST_SKIP() << "kernel cannot run the io_uring backend";
-    }
-  }
-
   void StartServer(bool inline_dispatch) {
     Watchman::Options options;
     options.capacity_bytes = 8 << 20;
@@ -45,14 +38,12 @@ class ServerAllocTest : public testing::TestWithParam<ServerBackend> {
                                         WatchmanServer::MissFillExecutor());
     WatchmanServer::Options server_options;
     server_options.port = 0;
-    server_options.backend = GetParam();
     server_options.inline_dispatch = inline_dispatch;
     // One worker: the warmup passes heat that worker's decode/encode
     // scratch, and the measured window reuses it deterministically.
     server_options.num_workers = 1;
     server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
     ASSERT_TRUE(server_->Start().ok());
-    ASSERT_EQ(server_->effective_backend(), GetParam());
 
     WatchmanClient::Options client_options;
     client_options.port = server_->port();
@@ -81,7 +72,7 @@ class ServerAllocTest : public testing::TestWithParam<ServerBackend> {
   std::unique_ptr<WatchmanClient> client_;
 };
 
-TEST_P(ServerAllocTest, InlineFastPathDoesNotAllocate) {
+TEST_F(ServerAllocTest, InlineFastPathDoesNotAllocate) {
   StartServer(/*inline_dispatch=*/true);
   RunTraffic(/*rounds=*/100);  // warm buffers, scratch, counters
   const uint64_t inlined_before = server_->inline_dispatched();
@@ -98,7 +89,7 @@ TEST_P(ServerAllocTest, InlineFastPathDoesNotAllocate) {
       << "inline path allocated " << allocations << " times over 200 frames";
 }
 
-TEST_P(ServerAllocTest, WorkerPathDoesNotAllocateOncePoolsAreWarm) {
+TEST_F(ServerAllocTest, WorkerPathDoesNotAllocateOncePoolsAreWarm) {
   StartServer(/*inline_dispatch=*/false);
   RunTraffic(/*rounds=*/100);
   ASSERT_EQ(server_->inline_dispatched(), 0u);
@@ -115,13 +106,6 @@ TEST_P(ServerAllocTest, WorkerPathDoesNotAllocateOncePoolsAreWarm) {
   EXPECT_EQ(allocations, 0u)
       << "worker path allocated " << allocations << " times over 200 frames";
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ServerAllocTest,
-    testing::Values(ServerBackend::kEpoll, ServerBackend::kIoUring),
-    [](const testing::TestParamInfo<ServerBackend>& info) {
-      return std::string(ServerBackendName(info.param));
-    });
 
 }  // namespace
 }  // namespace watchman

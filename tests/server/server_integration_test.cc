@@ -1,11 +1,6 @@
 // Client/server integration tests over a loopback socket: the server
 // binds an ephemeral port (port 0) so parallel CI runs never collide,
 // and the "Server...Concurrent..." tests run under TSan in CI.
-//
-// The whole suite is parameterized over the event backend (epoll and
-// io_uring) so both IO loops face the same protocol-violation,
-// half-close, timeout and concurrency scenarios. The io_uring
-// instantiation skips itself on kernels that cannot run the backend.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +20,6 @@
 
 #include "server/client.h"
 #include "server/server.h"
-#include "server/uring.h"
 #include "watchman/watchman.h"
 
 namespace watchman {
@@ -102,21 +96,13 @@ Watchman::Executor CountingExecutor(std::atomic<int>* executions,
   };
 }
 
-class ServerIntegrationTest : public testing::TestWithParam<ServerBackend> {
+class ServerIntegrationTest : public testing::Test {
  protected:
-  void SetUp() override {
-    if (GetParam() == ServerBackend::kIoUring && !Uring::KernelSupported()) {
-      GTEST_SKIP() << "kernel cannot run the io_uring backend";
-    }
-  }
-
-  /// Server options with the suite's backend applied; every server this
-  /// suite starts -- fixture-owned or test-local -- goes through here
-  /// so no scenario silently tests only epoll.
-  WatchmanServer::Options BackendOptions() const {
+  /// Server options every server this suite starts -- fixture-owned or
+  /// test-local -- begins from.
+  static WatchmanServer::Options BaseOptions() {
     WatchmanServer::Options server_options;
     server_options.port = 0;  // ephemeral: parallel-safe in CI
-    server_options.backend = GetParam();
     return server_options;
   }
 
@@ -126,14 +112,11 @@ class ServerIntegrationTest : public testing::TestWithParam<ServerBackend> {
     options.num_shards = num_shards;
     cache_ = std::make_unique<Watchman>(std::move(options),
                                         WatchmanServer::MissFillExecutor());
-    WatchmanServer::Options server_options = BackendOptions();
+    WatchmanServer::Options server_options = BaseOptions();
     server_options.num_workers = num_workers;
     server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
-    // KernelSupported() passed, so a requested io_uring backend must
-    // actually serve (a silent fallback here would shadow coverage).
-    ASSERT_EQ(server_->effective_backend(), GetParam());
   }
 
   WatchmanClient::Options ClientOptions() const {
@@ -161,7 +144,7 @@ class ServerIntegrationTest : public testing::TestWithParam<ServerBackend> {
   std::unique_ptr<WatchmanServer> server_;
 };
 
-TEST_P(ServerIntegrationTest, PingOnEphemeralPort) {
+TEST_F(ServerIntegrationTest, PingOnEphemeralPort) {
   StartServer();
   auto client = MakeClient();
   EXPECT_TRUE(client->Ping().ok());
@@ -169,7 +152,7 @@ TEST_P(ServerIntegrationTest, PingOnEphemeralPort) {
   EXPECT_EQ(server_->connections_accepted(), 1u);
 }
 
-TEST_P(ServerIntegrationTest, RemoteHitServedFromCache) {
+TEST_F(ServerIntegrationTest, RemoteHitServedFromCache) {
   StartServer();
   std::atomic<int> executions{0};
   auto remote = RemoteWatchman::Connect(ClientOptions(),
@@ -191,7 +174,7 @@ TEST_P(ServerIntegrationTest, RemoteHitServedFromCache) {
   EXPECT_EQ(stats.insertions, 1u);
 }
 
-TEST_P(ServerIntegrationTest, MissWithoutFillReportsNotFound) {
+TEST_F(ServerIntegrationTest, MissWithoutFillReportsNotFound) {
   StartServer();
   auto client = MakeClient();
   auto probe = client->Get("select 1 from dual");
@@ -203,7 +186,7 @@ TEST_P(ServerIntegrationTest, MissWithoutFillReportsNotFound) {
   EXPECT_EQ(executed.status().code(), StatusCode::kNotFound);
 }
 
-TEST_P(ServerIntegrationTest, MissFillPopulatesAndHitFlagFlips) {
+TEST_F(ServerIntegrationTest, MissFillPopulatesAndHitFlagFlips) {
   StartServer();
   auto client = MakeClient();
   const std::string query = "select o_orderkey from orders";
@@ -226,7 +209,7 @@ TEST_P(ServerIntegrationTest, MissFillPopulatesAndHitFlagFlips) {
   EXPECT_EQ(got->payload, "the retrieved set");
 }
 
-TEST_P(ServerIntegrationTest, InvalidateRelationEvictsDependentSet) {
+TEST_F(ServerIntegrationTest, InvalidateRelationEvictsDependentSet) {
   StartServer();
   auto client = MakeClient();
   ASSERT_TRUE(client
@@ -261,7 +244,7 @@ TEST_P(ServerIntegrationTest, InvalidateRelationEvictsDependentSet) {
   EXPECT_FALSE(cache_->IsCached("select c from region"));
 }
 
-TEST_P(ServerIntegrationTest, StatsMatchTheLocalFacade) {
+TEST_F(ServerIntegrationTest, StatsMatchTheLocalFacade) {
   StartServer();
   std::atomic<int> executions{0};
   auto remote = RemoteWatchman::Connect(ClientOptions(),
@@ -293,7 +276,7 @@ TEST_P(ServerIntegrationTest, StatsMatchTheLocalFacade) {
   EXPECT_DOUBLE_EQ(stats->hit_ratio(), local.hit_ratio());
   // v4 transport fields: the wire names the serving backend, and a
   // fresh server has no compaction yet.
-  EXPECT_EQ(stats->backend, ServerBackendName(GetParam()));
+  EXPECT_EQ(stats->backend, "epoll");
   EXPECT_EQ(stats->compactions, 0u);
   EXPECT_EQ(stats->last_compaction_age_ms, WireStats::kNeverCompacted);
 
@@ -316,7 +299,7 @@ TEST_P(ServerIntegrationTest, StatsMatchTheLocalFacade) {
   EXPECT_TRUE(saw_execute);
 }
 
-TEST_P(ServerIntegrationTest, BatchedRequestsOnOneConnection) {
+TEST_F(ServerIntegrationTest, BatchedRequestsOnOneConnection) {
   StartServer();
   auto client = MakeClient();
   // Many round trips on a single connection interleaving every op.
@@ -337,7 +320,7 @@ TEST_P(ServerIntegrationTest, BatchedRequestsOnOneConnection) {
   EXPECT_EQ(stats->connections_accepted, 1u);
 }
 
-TEST_P(ServerIntegrationTest, BlockingCheapOpsTakeTheInlinePath) {
+TEST_F(ServerIntegrationTest, BlockingCheapOpsTakeTheInlinePath) {
   // A blocking client on an otherwise idle server: every PING/GET/STATS
   // frame arrives alone with nothing in flight and an empty
   // ready-queue, so each one must be answered inline on the IO thread.
@@ -354,11 +337,11 @@ TEST_P(ServerIntegrationTest, BlockingCheapOpsTakeTheInlinePath) {
   EXPECT_EQ(server_->StatsSnapshot().requests_served, 13u);
 }
 
-TEST_P(ServerIntegrationTest, InlineDispatchDisabledByOption) {
+TEST_F(ServerIntegrationTest, InlineDispatchDisabledByOption) {
   Watchman::Options options;
   options.capacity_bytes = 8 << 20;
   Watchman cache(std::move(options), WatchmanServer::MissFillExecutor());
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.inline_dispatch = false;
   WatchmanServer server(&cache, server_options);
   ASSERT_TRUE(server.Start().ok());
@@ -373,7 +356,7 @@ TEST_P(ServerIntegrationTest, InlineDispatchDisabledByOption) {
   server.Stop();
 }
 
-TEST_P(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
+TEST_F(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
   // A pipelined burst of cheap frames around an EXECUTE, against one
   // worker and a tiny inline burst budget: the budget forces most
   // pings onto the worker path, and every frame -- the EXECUTE
@@ -383,7 +366,7 @@ TEST_P(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
   Watchman::Options options;
   options.capacity_bytes = 8 << 20;
   Watchman cache(std::move(options), WatchmanServer::MissFillExecutor());
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.num_workers = 1;
   server_options.max_inline_burst = 2;
   WatchmanServer server(&cache, server_options);
@@ -440,7 +423,7 @@ TEST_P(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
   server.Stop();
 }
 
-TEST_P(ServerIntegrationTest, CompactOverTheWire) {
+TEST_F(ServerIntegrationTest, CompactOverTheWire) {
   StartServer();
   auto client = MakeClient();
   ASSERT_TRUE(client->Execute("select a from t", "set-a", 100, {"t"}).ok());
@@ -453,11 +436,11 @@ TEST_P(ServerIntegrationTest, CompactOverTheWire) {
   EXPECT_LT(stats->last_compaction_age_ms, 60000u);
 }
 
-TEST_P(ServerIntegrationTest, IdleCompactionRunsOncePerIdlePeriod) {
+TEST_F(ServerIntegrationTest, IdleCompactionRunsOncePerIdlePeriod) {
   Watchman::Options options;
   options.capacity_bytes = 8 << 20;
   Watchman cache(std::move(options), WatchmanServer::MissFillExecutor());
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.poll_interval_ms = 10;
   server_options.compact_idle_ms = 50;
   WatchmanServer server(&cache, server_options);
@@ -483,7 +466,7 @@ TEST_P(ServerIntegrationTest, IdleCompactionRunsOncePerIdlePeriod) {
   server.Stop();
 }
 
-TEST_P(ServerIntegrationTest, ConcurrentClientsShareTheCache) {
+TEST_F(ServerIntegrationTest, ConcurrentClientsShareTheCache) {
   StartServer(/*num_shards=*/8, /*num_workers=*/8);
   constexpr int kThreads = 6;
   constexpr int kIterations = 40;
@@ -530,7 +513,7 @@ TEST_P(ServerIntegrationTest, ConcurrentClientsShareTheCache) {
   EXPECT_TRUE(cache_->cache().CheckInvariants().ok());
 }
 
-TEST_P(ServerIntegrationTest, ConcurrentClientsWithInvalidationChaos) {
+TEST_F(ServerIntegrationTest, ConcurrentClientsWithInvalidationChaos) {
   StartServer(/*num_shards=*/8, /*num_workers=*/8);
   constexpr int kThreads = 4;
   constexpr int kIterations = 30;
@@ -579,10 +562,10 @@ TEST_P(ServerIntegrationTest, ConcurrentClientsWithInvalidationChaos) {
   EXPECT_TRUE(cache_->cache().CheckInvariants().ok());
 }
 
-TEST_P(ServerIntegrationTest, OversizedFillRejectedAsCorruption) {
+TEST_F(ServerIntegrationTest, OversizedFillRejectedAsCorruption) {
   StartServer();
   // Re-start a second server with a tiny frame limit.
-  WatchmanServer::Options tiny = BackendOptions();
+  WatchmanServer::Options tiny = BaseOptions();
   tiny.num_workers = 1;
   tiny.max_frame_bytes = 1024;
   WatchmanServer small_server(cache_.get(), tiny);
@@ -600,7 +583,7 @@ TEST_P(ServerIntegrationTest, OversizedFillRejectedAsCorruption) {
   small_server.Stop();
 }
 
-TEST_P(ServerIntegrationTest, DecodeErrorEchoesRequestOpcodeAndId) {
+TEST_F(ServerIntegrationTest, DecodeErrorEchoesRequestOpcodeAndId) {
   // Regression: a request whose body fails to decode used to be
   // answered with a default-constructed response whose op was kPing,
   // so the client reported "response op mismatch: sent get, got ping"
@@ -633,7 +616,7 @@ TEST_P(ServerIntegrationTest, DecodeErrorEchoesRequestOpcodeAndId) {
   EXPECT_EQ(server_->StatsSnapshot().frames_rejected, 1u);
 }
 
-TEST_P(ServerIntegrationTest, CorruptFrameMidStreamAnswersEarlierFrames) {
+TEST_F(ServerIntegrationTest, CorruptFrameMidStreamAnswersEarlierFrames) {
   // A valid PING pipelined ahead of a garbage length prefix: the ping
   // must be answered AND the framing error reported with the daemon's
   // Corruption status before the connection closes. Responses may
@@ -670,11 +653,11 @@ TEST_P(ServerIntegrationTest, CorruptFrameMidStreamAnswersEarlierFrames) {
   EXPECT_FALSE(eof.ok());
 }
 
-TEST_P(ServerIntegrationTest, OversizedFrameSurfacesCorruptionAtTheClient) {
+TEST_F(ServerIntegrationTest, OversizedFrameSurfacesCorruptionAtTheClient) {
   // Acceptance: through the real client, a frame the daemon rejects
   // must surface the daemon's Corruption message -- NOT an
   // "op mismatch" Internal error, and not a bare connection reset.
-  WatchmanServer::Options tiny = BackendOptions();
+  WatchmanServer::Options tiny = BaseOptions();
   tiny.num_workers = 1;
   tiny.max_frame_bytes = 1024;
   Watchman::Options cache_options;
@@ -698,7 +681,7 @@ TEST_P(ServerIntegrationTest, OversizedFrameSurfacesCorruptionAtTheClient) {
   small_server.Stop();
 }
 
-TEST_P(ServerIntegrationTest, HalfClosePipelinedRequestsAllAnswered) {
+TEST_F(ServerIntegrationTest, HalfClosePipelinedRequestsAllAnswered) {
   // A peer that pipelines N requests and immediately shuts down its
   // write side must still receive all N responses (the event loop
   // parses buffered frames after EOF and closes only once the output
@@ -728,11 +711,11 @@ TEST_P(ServerIntegrationTest, HalfClosePipelinedRequestsAllAnswered) {
   EXPECT_FALSE(eof.ok());
 }
 
-TEST_P(ServerIntegrationTest, IoTimeoutReapsStalledConnection) {
+TEST_F(ServerIntegrationTest, IoTimeoutReapsStalledConnection) {
   // A connection stuck mid-frame (length prefix promises more bytes
   // that never come) is closed once io_timeout_ms passes without
   // progress; a healthy idle connection on the same server is NOT.
-  WatchmanServer::Options server_options = BackendOptions();
+  WatchmanServer::Options server_options = BaseOptions();
   server_options.io_timeout_ms = 200;
   server_options.poll_interval_ms = 20;
   Watchman::Options cache_options;
@@ -765,7 +748,7 @@ TEST_P(ServerIntegrationTest, IoTimeoutReapsStalledConnection) {
   server.Stop();
 }
 
-TEST_P(ServerIntegrationTest, GracefulShutdownStopsServing) {
+TEST_F(ServerIntegrationTest, GracefulShutdownStopsServing) {
   StartServer();
   auto client = MakeClient();
   ASSERT_TRUE(client->Ping().ok());
@@ -779,66 +762,6 @@ TEST_P(ServerIntegrationTest, GracefulShutdownStopsServing) {
   // Stop() is idempotent.
   server_->Stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ServerIntegrationTest,
-    testing::Values(ServerBackend::kEpoll, ServerBackend::kIoUring),
-    [](const testing::TestParamInfo<ServerBackend>& info) {
-      return std::string(ServerBackendName(info.param));
-    });
-
-// ---- backend selection / fallback (not parameterized) ----
-
-TEST(ServerBackendTest, ParseNamesRoundTrip) {
-  ServerBackend backend = ServerBackend::kAuto;
-  EXPECT_TRUE(ParseServerBackend("epoll", &backend));
-  EXPECT_EQ(backend, ServerBackend::kEpoll);
-  EXPECT_TRUE(ParseServerBackend("io_uring", &backend));
-  EXPECT_EQ(backend, ServerBackend::kIoUring);
-  EXPECT_TRUE(ParseServerBackend("auto", &backend));
-  EXPECT_EQ(backend, ServerBackend::kAuto);
-  EXPECT_TRUE(ParseServerBackend("uring", &backend));  // accepted alias
-  EXPECT_EQ(backend, ServerBackend::kIoUring);
-  EXPECT_FALSE(ParseServerBackend("epol", &backend));
-  EXPECT_FALSE(ParseServerBackend("", &backend));
-  EXPECT_STREQ(ServerBackendName(ServerBackend::kEpoll), "epoll");
-  EXPECT_STREQ(ServerBackendName(ServerBackend::kIoUring), "io_uring");
-  EXPECT_STREQ(ServerBackendName(ServerBackend::kAuto), "auto");
-}
-
-class BackendFallbackTest : public testing::TestWithParam<ServerBackend> {};
-
-TEST_P(BackendFallbackTest, FallsBackToEpollAndStillServes) {
-  // Regression for the fallback path: a kernel without io_uring must
-  // not fail Start() -- both `io_uring` (with a logged warning) and
-  // `auto` (silently) serve on epoll. simulate_io_uring_unavailable
-  // makes the scenario deterministic on any kernel.
-  Watchman::Options options;
-  options.capacity_bytes = 8 << 20;
-  Watchman cache(std::move(options), WatchmanServer::MissFillExecutor());
-  WatchmanServer::Options server_options;
-  server_options.port = 0;
-  server_options.backend = GetParam();
-  server_options.simulate_io_uring_unavailable = true;
-  WatchmanServer server(&cache, server_options);
-  ASSERT_TRUE(server.Start().ok());
-  EXPECT_EQ(server.effective_backend(), ServerBackend::kEpoll);
-  EXPECT_EQ(server.StatsSnapshot().backend, std::string("epoll"));
-
-  WatchmanClient::Options client_options;
-  client_options.port = server.port();
-  auto client = WatchmanClient::Connect(client_options);
-  ASSERT_TRUE(client.ok());
-  EXPECT_TRUE((*client)->Ping().ok());
-  server.Stop();
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Requested, BackendFallbackTest,
-    testing::Values(ServerBackend::kIoUring, ServerBackend::kAuto),
-    [](const testing::TestParamInfo<ServerBackend>& info) {
-      return std::string(ServerBackendName(info.param));
-    });
 
 }  // namespace
 }  // namespace watchman

@@ -1,7 +1,7 @@
 // Concurrency tests of the Watchman facade: single-flight deduplication
-// of identical missed queries, and races between concurrent execution,
-// hits and relation invalidation on a sharded cache. Run under TSan in
-// CI.
+// of identical missed queries, races between concurrent execution, hits
+// and relation invalidation on a sharded cache, and exact reference
+// accounting under those races. Run under TSan in CI.
 
 #include <gtest/gtest.h>
 
@@ -171,6 +171,92 @@ TEST(ConcurrentWatchmanStressTest, ExecuteInvalidateRaces) {
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(wm.invalidations(), 0u);
   EXPECT_LT(executions.load(), uint64_t{kWorkers} * kOpsPerWorker);
+}
+
+TEST(ConcurrentWatchmanStressTest, EveryCallRecordsExactlyOneReference) {
+  // The paper's accounting: one client call records exactly one
+  // reference, because reference rates drive LNC-RA's profit and
+  // admission. Threads mix the daemon's two-step GET-then-fill (probe
+  // with GetCachedInto; on NotFound, an Execute whose executor stands in
+  // for the client's fill), plain Executes and invalidations over a
+  // small cache, so hits race admissions, evictions and erasures. Every
+  // round the lookup count must equal the GET/EXECUTE calls exactly.
+  constexpr int kRounds = 25;
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 400;
+  constexpr int kQuerySpace = 24;
+  for (int round = 0; round < kRounds; ++round) {
+    Watchman::Options opts;
+    opts.capacity_bytes = 12 << 10;  // a third of the query space
+    opts.num_shards = 4;
+    Watchman wm(std::move(opts), [](const std::string& text)
+                    -> StatusOr<Watchman::ExecutionResult> {
+      Watchman::ExecutionResult result;
+      result.payload = PayloadFor(text);
+      result.payload.resize(300 + (text.size() * 53) % 900, '#');
+      result.cost = 100 + text.size();
+      result.relations = {"r" + std::to_string(text.back() % 3)};
+      return result;
+    });
+
+    std::barrier start(kThreads);
+    std::atomic<uint64_t> calls{0};
+    std::atomic<int> wrong_payloads{0};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        uint64_t state = 0x9e3779b97f4a7c15ull * (round * kThreads + t + 1);
+        std::string payload;
+        start.arrive_and_wait();
+        for (int i = 0; i < kOpsPerThread; ++i) {
+          state = state * 6364136223846793005ull + 1442695040888963407ull;
+          const std::string text =
+              "select q" + std::to_string((state >> 33) % kQuerySpace);
+          const uint64_t op = (state >> 20) % 10;
+          if (op == 0) {
+            wm.Invalidate(text);
+            continue;
+          }
+          if (op == 1) {
+            wm.InvalidateRelation("r" + std::to_string(text.back() % 3));
+            continue;
+          }
+          calls.fetch_add(1);
+          if (op >= 4) {
+            const Status got = wm.GetCachedInto(text, &payload);
+            if (got.ok()) {
+              if (payload.compare(0, PayloadFor(text).size(),
+                                  PayloadFor(text)) != 0) {
+                wrong_payloads.fetch_add(1);
+              }
+              continue;
+            }
+            if (got.code() != StatusCode::kNotFound) {
+              failures.fetch_add(1);
+              continue;
+            }
+          }
+          auto result = wm.Execute(text);
+          if (!result.ok()) {
+            failures.fetch_add(1);
+          } else if (result->compare(0, PayloadFor(text).size(),
+                                     PayloadFor(text)) != 0) {
+            wrong_payloads.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+
+    ASSERT_EQ(failures.load(), 0) << "round " << round;
+    ASSERT_EQ(wrong_payloads.load(), 0) << "round " << round;
+    const CacheStats stats = wm.stats();
+    ASSERT_EQ(stats.lookups, calls.load()) << "round " << round;
+    ASSERT_GT(stats.hits, 0u) << "round " << round;
+    ASSERT_GT(stats.evictions, 0u) << "round " << round;
+    ASSERT_TRUE(wm.cache().CheckInvariants().ok()) << "round " << round;
+  }
 }
 
 TEST(ConcurrentWatchmanTest, EmptyResultsNeverCachedUnderAnyPolicy) {
