@@ -27,10 +27,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "server/client.h"
 #include "server/server.h"
+#include "support/event_loops.h"
 #include "util/fault.h"
 #include "watchman/watchman.h"
 
@@ -91,12 +93,13 @@ struct Outcomes {
   }
 };
 
-class ChaosTest : public testing::TestWithParam<size_t> {
+class ChaosTest
+    : public testing::TestWithParam<std::tuple<EventLoop, size_t>> {
  protected:
   void TearDown() override { FaultInjector::Global().Reset(); }
 
   static const ChaosSchedule& Schedule() {
-    return kSchedules[GetParam()];
+    return kSchedules[std::get<1>(GetParam())];
   }
 
   void StartServer() {
@@ -271,11 +274,17 @@ TEST_P(ChaosTest, SurvivesScheduleWithDocumentedOutcomesOnly) {
   server_->Stop();
 }
 
+std::string ChaosParamName(
+    const testing::TestParamInfo<std::tuple<EventLoop, size_t>>& info) {
+  return std::string(kSchedules[std::get<1>(info.param)].name) + "_" +
+         EventLoopName(std::get<0>(info.param));
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Schedules, ChaosTest, testing::Range<size_t>(0, std::size(kSchedules)),
-    [](const testing::TestParamInfo<size_t>& info) {
-      return std::string(kSchedules[info.param].name);
-    });
+    Schedules, ChaosTest,
+    testing::Combine(AllEventLoops(),
+                     testing::Range<size_t>(0, std::size(kSchedules))),
+    ChaosParamName);
 
 }  // namespace
 }  // namespace watchman

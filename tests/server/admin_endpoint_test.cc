@@ -20,6 +20,7 @@
 
 #include "server/client.h"
 #include "server/server.h"
+#include "support/event_loops.h"
 #include "support/promtext.h"
 #include "watchman/watchman.h"
 
@@ -93,7 +94,7 @@ void SplitResponse(const std::string& response, std::string* status_line,
   *body = response.substr(sep + 4);
 }
 
-class AdminEndpointTest : public testing::Test {
+class AdminEndpointTest : public testing::TestWithParam<EventLoop> {
  protected:
   void StartServer(bool metrics = true) {
     Watchman::Options options;
@@ -131,7 +132,7 @@ class AdminEndpointTest : public testing::Test {
   std::unique_ptr<WatchmanServer> server_;
 };
 
-TEST_F(AdminEndpointTest, HealthzAnswersOk) {
+TEST_P(AdminEndpointTest, HealthzAnswersOk) {
   StartServer();
   std::string status_line, body;
   SplitResponse(Get(server_->admin_port(), "/healthz"), &status_line, &body);
@@ -139,7 +140,7 @@ TEST_F(AdminEndpointTest, HealthzAnswersOk) {
   EXPECT_EQ(body, "ok\n");
 }
 
-TEST_F(AdminEndpointTest, MetricsIsValidPrometheusExposition) {
+TEST_P(AdminEndpointTest, MetricsIsValidPrometheusExposition) {
   StartServer();
   // Drive traffic so the cache / facade / server families carry data:
   // one execution, one hit, one ping.
@@ -183,7 +184,7 @@ TEST_F(AdminEndpointTest, MetricsIsValidPrometheusExposition) {
             std::string::npos);
 }
 
-TEST_F(AdminEndpointTest, UnknownPathIs404AndBadMethodIs405) {
+TEST_P(AdminEndpointTest, UnknownPathIs404AndBadMethodIs405) {
   StartServer();
   std::string status_line, body;
   SplitResponse(Get(server_->admin_port(), "/nope"), &status_line, &body);
@@ -196,7 +197,7 @@ TEST_F(AdminEndpointTest, UnknownPathIs404AndBadMethodIs405) {
   EXPECT_EQ(status_line, "HTTP/1.0 405 Method Not Allowed");
 }
 
-TEST_F(AdminEndpointTest, MalformedRequestIs400) {
+TEST_P(AdminEndpointTest, MalformedRequestIs400) {
   StartServer();
   HttpConn conn(server_->admin_port());
   ASSERT_TRUE(conn.connected());
@@ -205,7 +206,7 @@ TEST_F(AdminEndpointTest, MalformedRequestIs400) {
   EXPECT_EQ(status_line, "HTTP/1.0 400 Bad Request");
 }
 
-TEST_F(AdminEndpointTest, SplitRequestAcrossPacketsStillParses) {
+TEST_P(AdminEndpointTest, SplitRequestAcrossPacketsStillParses) {
   StartServer();
   HttpConn conn(server_->admin_port());
   ASSERT_TRUE(conn.connected());
@@ -219,7 +220,7 @@ TEST_F(AdminEndpointTest, SplitRequestAcrossPacketsStillParses) {
   EXPECT_EQ(body, "ok\n");
 }
 
-TEST_F(AdminEndpointTest, WireStatsStillReportsLatencyFromSameRegistry) {
+TEST_P(AdminEndpointTest, WireStatsStillReportsLatencyFromSameRegistry) {
   StartServer();
   auto client = MakeClient();
   ASSERT_TRUE(client->Execute("q1").ok());
@@ -244,7 +245,7 @@ TEST_F(AdminEndpointTest, WireStatsStillReportsLatencyFromSameRegistry) {
   EXPECT_EQ(counters.latency_count, 1u);
 }
 
-TEST_F(AdminEndpointTest, MetricsDisabledStillServesCountersAndStats) {
+TEST_P(AdminEndpointTest, MetricsDisabledStillServesCountersAndStats) {
   StartServer(/*metrics=*/false);
   auto client = MakeClient();
   ASSERT_TRUE(client->Execute("q1").ok());
@@ -263,7 +264,7 @@ TEST_F(AdminEndpointTest, MetricsDisabledStillServesCountersAndStats) {
   EXPECT_EQ(counters.latency_count, 0u);
 }
 
-TEST_F(AdminEndpointTest, ScrapeUnderLoadStaysConsistent) {
+TEST_P(AdminEndpointTest, ScrapeUnderLoadStaysConsistent) {
   StartServer();
   auto client = MakeClient();
   for (int i = 0; i < 50; ++i) {
@@ -279,7 +280,7 @@ TEST_F(AdminEndpointTest, ScrapeUnderLoadStaysConsistent) {
   }
 }
 
-TEST_F(AdminEndpointTest, AdminDisabledByDefault) {
+TEST_P(AdminEndpointTest, AdminDisabledByDefault) {
   Watchman::Options options;
   cache_ = std::make_unique<Watchman>(
       std::move(options),
@@ -292,6 +293,9 @@ TEST_F(AdminEndpointTest, AdminDisabledByDefault) {
   ASSERT_TRUE(server_->Start().ok());
   EXPECT_EQ(server_->admin_port(), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, AdminEndpointTest, AllEventLoops(),
+                         EventLoopParamName);
 
 }  // namespace
 }  // namespace watchman

@@ -20,6 +20,7 @@
 
 #include "server/client.h"
 #include "server/server.h"
+#include "support/event_loops.h"
 #include "watchman/watchman.h"
 
 namespace watchman {
@@ -70,7 +71,7 @@ class HttpConn {
   bool connected_ = false;
 };
 
-class OverloadTest : public testing::Test {
+class OverloadTest : public testing::TestWithParam<EventLoop> {
  protected:
   static WatchmanServer::Options BaseOptions() {
     WatchmanServer::Options server_options;
@@ -113,7 +114,7 @@ class OverloadTest : public testing::Test {
   std::unique_ptr<WatchmanServer> server_;
 };
 
-TEST_F(OverloadTest, PeerQuotaShedsAbuserWhileNeighborIsServed) {
+TEST_P(OverloadTest, PeerQuotaShedsAbuserWhileNeighborIsServed) {
   WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.peer_requests_per_sec = 50;
   server_options.admission.peer_burst = 2;
@@ -152,7 +153,7 @@ TEST_F(OverloadTest, PeerQuotaShedsAbuserWhileNeighborIsServed) {
   ASSERT_TRUE(Eventually([&] { return abuser->Ping().ok(); }));
 }
 
-TEST_F(OverloadTest, ClientShedRetriesSucceedAfterBackoff) {
+TEST_P(OverloadTest, ClientShedRetriesSucceedAfterBackoff) {
   WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.peer_requests_per_sec = 100;
   server_options.admission.peer_burst = 1;
@@ -167,7 +168,7 @@ TEST_F(OverloadTest, ClientShedRetriesSucceedAfterBackoff) {
   EXPECT_GE(server_->sheds(ShedReason::kPeerQuota), 1u);
 }
 
-TEST_F(OverloadTest, ConnectionCapShedsSecondConnection) {
+TEST_P(OverloadTest, ConnectionCapShedsSecondConnection) {
   WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.max_connections_per_peer = 1;
   StartServer(server_options);
@@ -190,7 +191,7 @@ TEST_F(OverloadTest, ConnectionCapShedsSecondConnection) {
   }));
 }
 
-TEST_F(OverloadTest, GlobalInflightBudgetShedsPipelinedBurst) {
+TEST_P(OverloadTest, GlobalInflightBudgetShedsPipelinedBurst) {
   WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.max_global_inflight = 1;
   server_options.num_workers = 1;
@@ -234,7 +235,7 @@ TEST_F(OverloadTest, GlobalInflightBudgetShedsPipelinedBurst) {
             static_cast<uint64_t>(shed));
 }
 
-TEST_F(OverloadTest, AdminConnectionCapRefusesExcess) {
+TEST_P(OverloadTest, AdminConnectionCapRefusesExcess) {
   WatchmanServer::Options server_options = BaseOptions();
   server_options.admin_port = 0;  // enable on an ephemeral port
   server_options.max_admin_connections = 1;
@@ -259,7 +260,7 @@ TEST_F(OverloadTest, AdminConnectionCapRefusesExcess) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
-TEST_F(OverloadTest, AdminSlowlorisHeaderDeadlineCloses) {
+TEST_P(OverloadTest, AdminSlowlorisHeaderDeadlineCloses) {
   WatchmanServer::Options server_options = BaseOptions();
   server_options.admin_port = 0;
   server_options.admin_header_timeout_ms = 100;
@@ -285,7 +286,7 @@ TEST_F(OverloadTest, AdminSlowlorisHeaderDeadlineCloses) {
   EXPECT_NE(fast.ReadToEof().find("200"), std::string::npos);
 }
 
-TEST_F(OverloadTest, ShedCountersVisibleOnMetricsEndpoint) {
+TEST_P(OverloadTest, ShedCountersVisibleOnMetricsEndpoint) {
   WatchmanServer::Options server_options = BaseOptions();
   server_options.admission.peer_requests_per_sec = 50;
   server_options.admission.peer_burst = 1;
@@ -315,6 +316,9 @@ TEST_F(OverloadTest, ShedCountersVisibleOnMetricsEndpoint) {
             std::string::npos);
   EXPECT_NE(body.find("watchman_store_breaker_state"), std::string::npos);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, OverloadTest, AllEventLoops(),
+                         EventLoopParamName);
 
 }  // namespace
 }  // namespace watchman

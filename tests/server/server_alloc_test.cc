@@ -24,12 +24,13 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "support/counting_alloc.h"
+#include "support/event_loops.h"
 #include "watchman/watchman.h"
 
 namespace watchman {
 namespace {
 
-class ServerAllocTest : public testing::Test {
+class ServerAllocTest : public testing::TestWithParam<EventLoop> {
  protected:
   void StartServer(bool inline_dispatch) {
     Watchman::Options options;
@@ -72,7 +73,7 @@ class ServerAllocTest : public testing::Test {
   std::unique_ptr<WatchmanClient> client_;
 };
 
-TEST_F(ServerAllocTest, InlineFastPathDoesNotAllocate) {
+TEST_P(ServerAllocTest, InlineFastPathDoesNotAllocate) {
   StartServer(/*inline_dispatch=*/true);
   RunTraffic(/*rounds=*/100);  // warm buffers, scratch, counters
   const uint64_t inlined_before = server_->inline_dispatched();
@@ -89,7 +90,7 @@ TEST_F(ServerAllocTest, InlineFastPathDoesNotAllocate) {
       << "inline path allocated " << allocations << " times over 200 frames";
 }
 
-TEST_F(ServerAllocTest, WorkerPathDoesNotAllocateOncePoolsAreWarm) {
+TEST_P(ServerAllocTest, WorkerPathDoesNotAllocateOncePoolsAreWarm) {
   StartServer(/*inline_dispatch=*/false);
   RunTraffic(/*rounds=*/100);
   ASSERT_EQ(server_->inline_dispatched(), 0u);
@@ -106,6 +107,9 @@ TEST_F(ServerAllocTest, WorkerPathDoesNotAllocateOncePoolsAreWarm) {
   EXPECT_EQ(allocations, 0u)
       << "worker path allocated " << allocations << " times over 200 frames";
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, ServerAllocTest, AllEventLoops(),
+                         EventLoopParamName);
 
 }  // namespace
 }  // namespace watchman

@@ -20,6 +20,7 @@
 
 #include "server/client.h"
 #include "server/server.h"
+#include "support/event_loops.h"
 #include "watchman/watchman.h"
 
 namespace watchman {
@@ -96,7 +97,7 @@ Watchman::Executor CountingExecutor(std::atomic<int>* executions,
   };
 }
 
-class ServerIntegrationTest : public testing::Test {
+class ServerIntegrationTest : public testing::TestWithParam<EventLoop> {
  protected:
   /// Server options every server this suite starts -- fixture-owned or
   /// test-local -- begins from.
@@ -144,7 +145,7 @@ class ServerIntegrationTest : public testing::Test {
   std::unique_ptr<WatchmanServer> server_;
 };
 
-TEST_F(ServerIntegrationTest, PingOnEphemeralPort) {
+TEST_P(ServerIntegrationTest, PingOnEphemeralPort) {
   StartServer();
   auto client = MakeClient();
   EXPECT_TRUE(client->Ping().ok());
@@ -152,7 +153,7 @@ TEST_F(ServerIntegrationTest, PingOnEphemeralPort) {
   EXPECT_EQ(server_->connections_accepted(), 1u);
 }
 
-TEST_F(ServerIntegrationTest, RemoteHitServedFromCache) {
+TEST_P(ServerIntegrationTest, RemoteHitServedFromCache) {
   StartServer();
   std::atomic<int> executions{0};
   auto remote = RemoteWatchman::Connect(ClientOptions(),
@@ -174,7 +175,7 @@ TEST_F(ServerIntegrationTest, RemoteHitServedFromCache) {
   EXPECT_EQ(stats.insertions, 1u);
 }
 
-TEST_F(ServerIntegrationTest, MissWithoutFillReportsNotFound) {
+TEST_P(ServerIntegrationTest, MissWithoutFillReportsNotFound) {
   StartServer();
   auto client = MakeClient();
   auto probe = client->Get("select 1 from dual");
@@ -186,7 +187,7 @@ TEST_F(ServerIntegrationTest, MissWithoutFillReportsNotFound) {
   EXPECT_EQ(executed.status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(ServerIntegrationTest, MissFillPopulatesAndHitFlagFlips) {
+TEST_P(ServerIntegrationTest, MissFillPopulatesAndHitFlagFlips) {
   StartServer();
   auto client = MakeClient();
   const std::string query = "select o_orderkey from orders";
@@ -209,7 +210,7 @@ TEST_F(ServerIntegrationTest, MissFillPopulatesAndHitFlagFlips) {
   EXPECT_EQ(got->payload, "the retrieved set");
 }
 
-TEST_F(ServerIntegrationTest, InvalidateRelationEvictsDependentSet) {
+TEST_P(ServerIntegrationTest, InvalidateRelationEvictsDependentSet) {
   StartServer();
   auto client = MakeClient();
   ASSERT_TRUE(client
@@ -244,7 +245,7 @@ TEST_F(ServerIntegrationTest, InvalidateRelationEvictsDependentSet) {
   EXPECT_FALSE(cache_->IsCached("select c from region"));
 }
 
-TEST_F(ServerIntegrationTest, StatsMatchTheLocalFacade) {
+TEST_P(ServerIntegrationTest, StatsMatchTheLocalFacade) {
   StartServer();
   std::atomic<int> executions{0};
   auto remote = RemoteWatchman::Connect(ClientOptions(),
@@ -276,7 +277,7 @@ TEST_F(ServerIntegrationTest, StatsMatchTheLocalFacade) {
   EXPECT_DOUBLE_EQ(stats->hit_ratio(), local.hit_ratio());
   // v4 transport fields: the wire names the serving backend, and a
   // fresh server has no compaction yet.
-  EXPECT_EQ(stats->backend, "epoll");
+  EXPECT_EQ(stats->backend, EventLoopName(GetParam()));
   EXPECT_EQ(stats->compactions, 0u);
   EXPECT_EQ(stats->last_compaction_age_ms, WireStats::kNeverCompacted);
 
@@ -299,7 +300,7 @@ TEST_F(ServerIntegrationTest, StatsMatchTheLocalFacade) {
   EXPECT_TRUE(saw_execute);
 }
 
-TEST_F(ServerIntegrationTest, BatchedRequestsOnOneConnection) {
+TEST_P(ServerIntegrationTest, BatchedRequestsOnOneConnection) {
   StartServer();
   auto client = MakeClient();
   // Many round trips on a single connection interleaving every op.
@@ -320,7 +321,7 @@ TEST_F(ServerIntegrationTest, BatchedRequestsOnOneConnection) {
   EXPECT_EQ(stats->connections_accepted, 1u);
 }
 
-TEST_F(ServerIntegrationTest, BlockingCheapOpsTakeTheInlinePath) {
+TEST_P(ServerIntegrationTest, BlockingCheapOpsTakeTheInlinePath) {
   // A blocking client on an otherwise idle server: every PING/GET/STATS
   // frame arrives alone with nothing in flight and an empty
   // ready-queue, so each one must be answered inline on the IO thread.
@@ -337,7 +338,7 @@ TEST_F(ServerIntegrationTest, BlockingCheapOpsTakeTheInlinePath) {
   EXPECT_EQ(server_->StatsSnapshot().requests_served, 13u);
 }
 
-TEST_F(ServerIntegrationTest, InlineDispatchDisabledByOption) {
+TEST_P(ServerIntegrationTest, InlineDispatchDisabledByOption) {
   Watchman::Options options;
   options.capacity_bytes = 8 << 20;
   Watchman cache(std::move(options), WatchmanServer::MissFillExecutor());
@@ -356,7 +357,7 @@ TEST_F(ServerIntegrationTest, InlineDispatchDisabledByOption) {
   server.Stop();
 }
 
-TEST_F(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
+TEST_P(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
   // A pipelined burst of cheap frames around an EXECUTE, against one
   // worker and a tiny inline burst budget: the budget forces most
   // pings onto the worker path, and every frame -- the EXECUTE
@@ -423,7 +424,7 @@ TEST_F(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
   server.Stop();
 }
 
-TEST_F(ServerIntegrationTest, CompactOverTheWire) {
+TEST_P(ServerIntegrationTest, CompactOverTheWire) {
   StartServer();
   auto client = MakeClient();
   ASSERT_TRUE(client->Execute("select a from t", "set-a", 100, {"t"}).ok());
@@ -436,7 +437,7 @@ TEST_F(ServerIntegrationTest, CompactOverTheWire) {
   EXPECT_LT(stats->last_compaction_age_ms, 60000u);
 }
 
-TEST_F(ServerIntegrationTest, IdleCompactionRunsOncePerIdlePeriod) {
+TEST_P(ServerIntegrationTest, IdleCompactionRunsOncePerIdlePeriod) {
   Watchman::Options options;
   options.capacity_bytes = 8 << 20;
   Watchman cache(std::move(options), WatchmanServer::MissFillExecutor());
@@ -466,7 +467,7 @@ TEST_F(ServerIntegrationTest, IdleCompactionRunsOncePerIdlePeriod) {
   server.Stop();
 }
 
-TEST_F(ServerIntegrationTest, ConcurrentClientsShareTheCache) {
+TEST_P(ServerIntegrationTest, ConcurrentClientsShareTheCache) {
   StartServer(/*num_shards=*/8, /*num_workers=*/8);
   constexpr int kThreads = 6;
   constexpr int kIterations = 40;
@@ -513,7 +514,7 @@ TEST_F(ServerIntegrationTest, ConcurrentClientsShareTheCache) {
   EXPECT_TRUE(cache_->cache().CheckInvariants().ok());
 }
 
-TEST_F(ServerIntegrationTest, ConcurrentClientsWithInvalidationChaos) {
+TEST_P(ServerIntegrationTest, ConcurrentClientsWithInvalidationChaos) {
   StartServer(/*num_shards=*/8, /*num_workers=*/8);
   constexpr int kThreads = 4;
   constexpr int kIterations = 30;
@@ -562,7 +563,7 @@ TEST_F(ServerIntegrationTest, ConcurrentClientsWithInvalidationChaos) {
   EXPECT_TRUE(cache_->cache().CheckInvariants().ok());
 }
 
-TEST_F(ServerIntegrationTest, OversizedFillRejectedAsCorruption) {
+TEST_P(ServerIntegrationTest, OversizedFillRejectedAsCorruption) {
   StartServer();
   // Re-start a second server with a tiny frame limit.
   WatchmanServer::Options tiny = BaseOptions();
@@ -583,7 +584,7 @@ TEST_F(ServerIntegrationTest, OversizedFillRejectedAsCorruption) {
   small_server.Stop();
 }
 
-TEST_F(ServerIntegrationTest, DecodeErrorEchoesRequestOpcodeAndId) {
+TEST_P(ServerIntegrationTest, DecodeErrorEchoesRequestOpcodeAndId) {
   // Regression: a request whose body fails to decode used to be
   // answered with a default-constructed response whose op was kPing,
   // so the client reported "response op mismatch: sent get, got ping"
@@ -616,7 +617,7 @@ TEST_F(ServerIntegrationTest, DecodeErrorEchoesRequestOpcodeAndId) {
   EXPECT_EQ(server_->StatsSnapshot().frames_rejected, 1u);
 }
 
-TEST_F(ServerIntegrationTest, CorruptFrameMidStreamAnswersEarlierFrames) {
+TEST_P(ServerIntegrationTest, CorruptFrameMidStreamAnswersEarlierFrames) {
   // A valid PING pipelined ahead of a garbage length prefix: the ping
   // must be answered AND the framing error reported with the daemon's
   // Corruption status before the connection closes. Responses may
@@ -653,7 +654,7 @@ TEST_F(ServerIntegrationTest, CorruptFrameMidStreamAnswersEarlierFrames) {
   EXPECT_FALSE(eof.ok());
 }
 
-TEST_F(ServerIntegrationTest, OversizedFrameSurfacesCorruptionAtTheClient) {
+TEST_P(ServerIntegrationTest, OversizedFrameSurfacesCorruptionAtTheClient) {
   // Acceptance: through the real client, a frame the daemon rejects
   // must surface the daemon's Corruption message -- NOT an
   // "op mismatch" Internal error, and not a bare connection reset.
@@ -681,7 +682,7 @@ TEST_F(ServerIntegrationTest, OversizedFrameSurfacesCorruptionAtTheClient) {
   small_server.Stop();
 }
 
-TEST_F(ServerIntegrationTest, HalfClosePipelinedRequestsAllAnswered) {
+TEST_P(ServerIntegrationTest, HalfClosePipelinedRequestsAllAnswered) {
   // A peer that pipelines N requests and immediately shuts down its
   // write side must still receive all N responses (the event loop
   // parses buffered frames after EOF and closes only once the output
@@ -711,7 +712,7 @@ TEST_F(ServerIntegrationTest, HalfClosePipelinedRequestsAllAnswered) {
   EXPECT_FALSE(eof.ok());
 }
 
-TEST_F(ServerIntegrationTest, IoTimeoutReapsStalledConnection) {
+TEST_P(ServerIntegrationTest, IoTimeoutReapsStalledConnection) {
   // A connection stuck mid-frame (length prefix promises more bytes
   // that never come) is closed once io_timeout_ms passes without
   // progress; a healthy idle connection on the same server is NOT.
@@ -748,7 +749,7 @@ TEST_F(ServerIntegrationTest, IoTimeoutReapsStalledConnection) {
   server.Stop();
 }
 
-TEST_F(ServerIntegrationTest, GracefulShutdownStopsServing) {
+TEST_P(ServerIntegrationTest, GracefulShutdownStopsServing) {
   StartServer();
   auto client = MakeClient();
   ASSERT_TRUE(client->Ping().ok());
@@ -762,6 +763,9 @@ TEST_F(ServerIntegrationTest, GracefulShutdownStopsServing) {
   // Stop() is idempotent.
   server_->Stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, ServerIntegrationTest, AllEventLoops(),
+                         EventLoopParamName);
 
 }  // namespace
 }  // namespace watchman
