@@ -8,9 +8,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -105,25 +107,6 @@ Status SendAllFd(int fd, std::string_view bytes, Clock::time_point deadline,
     *sent += static_cast<size_t>(n);
   }
   return Status::OK();
-}
-
-/// One recv on the non-blocking `fd`, polling for readability up to
-/// `deadline`. *n is 0 on orderly EOF.
-Status RecvSomeFd(int fd, char* buf, size_t cap, Clock::time_point deadline,
-                  size_t* n) {
-  while (true) {
-    const ssize_t got = FaultRecv(fd, buf, cap, 0);
-    if (got >= 0) {
-      *n = static_cast<size_t>(got);
-      return Status::OK();
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      WATCHMAN_RETURN_IF_ERROR(PollFd(fd, POLLIN, deadline, "recv"));
-      continue;
-    }
-    return Status::IOError(std::string("recv: ") + ErrnoString(errno));
-  }
 }
 
 /// One non-blocking connect attempt with a poll-enforced deadline.
@@ -232,28 +215,72 @@ bool ReplaySafe(OpCode op) {
   return false;
 }
 
-// Shared response -> typed-result converters (both client flavours).
-
-StatusOr<WatchmanClient::FetchResult> ToFetchResult(WireResponse&& response) {
-  if (response.code != StatusCode::kOk) {
-    return StatusFromWire(response.code, response.message);
-  }
-  return WatchmanClient::FetchResult{std::move(response.payload),
-                                     response.cache_hit};
+/// Sleeps the hinted, jittered backoff before shed retry `attempt`.
+void SleepBeforeShedRetry(const WatchmanClient::Options& options,
+                          uint32_t hint_ms, int attempt,
+                          uint64_t jitter_seed) {
+  const int backoff =
+      ShedBackoffMs(static_cast<int>(hint_ms), options.max_shed_backoff_ms,
+                    attempt, jitter_seed);
+  std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
 }
 
-StatusOr<uint64_t> ToDropped(WireResponse&& response) {
-  if (response.code != StatusCode::kOk) {
-    return StatusFromWire(response.code, response.message);
-  }
-  return response.dropped;
+// Each op's request, built in one place for StartX() and both
+// classes' blocking calls.
+
+WireRequest OpRequest(OpCode op) {
+  WireRequest request;
+  request.op = op;
+  return request;
 }
 
-StatusOr<WireStats> ToStats(WireResponse&& response) {
-  if (response.code != StatusCode::kOk) {
-    return StatusFromWire(response.code, response.message);
-  }
-  return std::move(response.stats);
+WireRequest QueryRequest(OpCode op, const std::string& query_text) {
+  WireRequest request = OpRequest(op);
+  request.query_text = query_text;
+  return request;
+}
+
+WireRequest RelationRequest(const std::string& relation) {
+  WireRequest request = OpRequest(OpCode::kInvalidateRelation);
+  request.relation = relation;
+  return request;
+}
+
+WireRequest FillRequest(const std::string& query_text,
+                        const std::string& fill_payload, uint64_t fill_cost,
+                        std::vector<std::string> fill_relations) {
+  WireRequest request = QueryRequest(OpCode::kExecute, query_text);
+  request.has_fill = true;
+  request.fill_payload = fill_payload;
+  request.fill_cost = fill_cost;
+  request.fill_relations = std::move(fill_relations);
+  return request;
+}
+
+// Response -> typed-result converters, shared by both classes'
+// blocking calls. ToStatus is the call's outcome: the transport
+// failure, else the daemon's status.
+
+Status ToStatus(const StatusOr<WireResponse>& response) {
+  if (!response.ok()) return response.status();
+  return StatusFromWire(response->code, response->message);
+}
+
+StatusOr<WatchmanClient::FetchResult> ToFetchResult(
+    StatusOr<WireResponse>&& response) {
+  WATCHMAN_RETURN_IF_ERROR(ToStatus(response));
+  return WatchmanClient::FetchResult{std::move(response->payload),
+                                     response->cache_hit};
+}
+
+StatusOr<uint64_t> ToDropped(const StatusOr<WireResponse>& response) {
+  WATCHMAN_RETURN_IF_ERROR(ToStatus(response));
+  return response->dropped;
+}
+
+StatusOr<WireStats> ToStats(StatusOr<WireResponse>&& response) {
+  WATCHMAN_RETURN_IF_ERROR(ToStatus(response));
+  return std::move(response->stats);
 }
 
 }  // namespace
@@ -286,578 +313,434 @@ int ShedBackoffMs(int hint_ms, int max_ms, int attempt,
   return ApplyJitter(capped, attempt, jitter_seed);
 }
 
-WatchmanClient::WatchmanClient(Options options)
-    : options_(std::move(options)), shed_jitter_seed_(FreshJitterSeed()) {}
+// ----------------------------------------------------- WatchmanClient
 
-WatchmanClient::~WatchmanClient() {
-  MutexLock lock(mu_);
-  CloseLocked();
-}
+WatchmanClient::WatchmanClient(Options options,
+                               std::unique_ptr<MultiplexedClient> engine)
+    : options_(std::move(options)),
+      engine_(std::move(engine)),
+      shed_jitter_seed_(FreshJitterSeed()) {}
+
+WatchmanClient::~WatchmanClient() = default;
 
 StatusOr<std::unique_ptr<WatchmanClient>> WatchmanClient::Connect(
     const Options& options) {
-  // alloc-ok: one client object per Connect() (setup, not per request)
-  std::unique_ptr<WatchmanClient> client(new WatchmanClient(options));
-  MutexLock lock(client->mu_);
-  WATCHMAN_RETURN_IF_ERROR(client->Dial());
-  return client;
+  StatusOr<std::unique_ptr<MultiplexedClient>> engine =
+      MultiplexedClient::Connect(options);
+  if (!engine.ok()) return engine.status();
+  return std::unique_ptr<WatchmanClient>(
+      // alloc-ok: one client object per Connect() (setup, not per request)
+      new WatchmanClient(options, std::move(*engine)));
 }
 
-void WatchmanClient::CloseLocked() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  inbuf_.clear();
-}
-
-Status WatchmanClient::Dial() {
-  CloseLocked();
-  StatusOr<int> fd = DialFd(options_);
-  if (!fd.ok()) return fd.status();
-  fd_ = *fd;
-  return Status::OK();
-}
-
-StatusOr<std::string> WatchmanClient::ReadFrameBody(
-    Clock::time_point deadline) {
-  char chunk[64 * 1024];
-  while (true) {
-    std::string_view body;
-    size_t frame_size = 0;
-    StatusOr<bool> extracted = ExtractFrame(inbuf_, options_.max_frame_bytes,
-                                            &body, &frame_size);
-    if (!extracted.ok()) return extracted.status();
-    if (*extracted) {
-      std::string out(body);
-      inbuf_.erase(0, frame_size);
-      return out;
-    }
-    size_t n = 0;
-    WATCHMAN_RETURN_IF_ERROR(
-        RecvSomeFd(fd_, chunk, sizeof(chunk), deadline, &n));
-    if (n == 0) {
-      return Status::IOError("connection closed by the daemon");
-    }
-    inbuf_.append(chunk, n);
-  }
-}
-
-StatusOr<WireResponse> WatchmanClient::RoundTrip(WireRequest& request) {
+StatusOr<WireResponse> WatchmanClient::Call(WireRequest request) {
   MutexLock lock(mu_);
   // Shed-retry loop: a kShedRetryLater answer means the daemon refused
   // the request BEFORE executing it, so retrying (with a fresh id)
-  // after the hinted backoff is always safe -- even for INVALIDATE.
+  // after the hinted backoff is always safe -- even for INVALIDATE. A
+  // shed connection (the daemon's id-0 answer to a connection over its
+  // cap) arrives as a status and is retried on a fresh dial.
   for (int attempt = 0;; ++attempt) {
-    StatusOr<WireResponse> response = RoundTripLocked(request);
-    if (!response.ok() ||
-        response->code != StatusCode::kShedRetryLater ||
+    StatusOr<WireResponse> response = CallLocked(request);
+    const StatusCode code =
+        response.ok() ? response->code : response.status().code();
+    if (code != StatusCode::kShedRetryLater ||
         attempt >= options_.shed_retries) {
       return response;
     }
-    const int backoff =
-        ShedBackoffMs(static_cast<int>(response->retry_after_ms),
-                      options_.max_shed_backoff_ms, attempt,
-                      shed_jitter_seed_);
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
+    const uint32_t hint_ms = response.ok() ? response->retry_after_ms : 0;
+    SleepBeforeShedRetry(options_, hint_ms, attempt, shed_jitter_seed_);
   }
 }
 
-StatusOr<WireResponse> WatchmanClient::RoundTripLocked(WireRequest& request) {
-  request.request_id = ++next_request_id_;
-  const std::string frame = EncodeRequest(request);
+StatusOr<WireResponse> WatchmanClient::CallLocked(WireRequest& request) {
   // One redial: a pooled connection may have died since the last call.
   // Redial is allowed only when the failure provably preceded any byte
   // reaching the wire, or the op's replay is harmless (see ReplaySafe).
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (fd_ < 0) {
-      WATCHMAN_RETURN_IF_ERROR(Dial());
+  for (int attempt = 0;; ++attempt) {
+    if (engine_ == nullptr) {
+      StatusOr<std::unique_ptr<MultiplexedClient>> engine =
+          MultiplexedClient::Connect(options_);
+      if (!engine.ok()) return engine.status();
+      engine_ = std::move(*engine);
     }
-    const auto deadline = DeadlineIn(options_.io_timeout_ms);
-    size_t sent = 0;
-    Status sent_status = SendAllFd(fd_, frame, deadline, &sent);
-    StatusOr<std::string> body = sent_status.ok()
-                                     ? ReadFrameBody(deadline)
-                                     : StatusOr<std::string>(sent_status);
-    if (!body.ok()) {
-      CloseLocked();
-      if (attempt == 0 && (sent == 0 || ReplaySafe(request.op))) continue;
-      if (sent != 0 && !ReplaySafe(request.op)) {
-        return Status::IOError(
-            std::string("connection failed after '") +
-            OpCodeName(request.op) +
-            "' may have reached the daemon; not retried because the op "
-            "is not replay-safe (" +
-            body.status().message() + ")");
-      }
-      return body.status();
+    bool wrote = false;
+    StatusOr<WireResponse> response = engine_->CallOnce(request, &wrote);
+    if (response.ok()) return response;
+    // Every failure here is transport-level (daemon errors arrive as
+    // responses): the engine is broken for good, or a deadline left the
+    // stream state unknown. Either way the next attempt redials.
+    engine_.reset();
+    if (response.status().code() != StatusCode::kIOError) return response;
+    if (wrote && !ReplaySafe(request.op)) {
+      return Status::IOError(
+          std::string("connection failed after '") +
+          OpCodeName(request.op) +
+          "' may have reached the daemon; not retried because the op "
+          "is not replay-safe (" +
+          response.status().message() + ")");
     }
-    StatusOr<WireResponse> response = DecodeResponse(*body);
-    if (!response.ok()) {
-      // The stream is desynchronized; don't trust the connection.
-      CloseLocked();
-      return response.status();
-    }
-    const bool matches = response->op == request.op &&
-                         response->request_id == request.request_id;
-    if (!matches) {
-      // A mismatched frame means the stream state is unknown either
-      // way. But when the daemon is reporting an error it could not
-      // attribute (framing-level failures echo ping/0), surface ITS
-      // status instead of masking it behind an op-mismatch Internal.
-      CloseLocked();
-      if (response->code != StatusCode::kOk) return response;
-      return Status::Internal(
-          std::string("response mismatch: sent ") + OpCodeName(request.op) +
-          " id " + std::to_string(request.request_id) + ", got " +
-          OpCodeName(response->op) + " id " +
-          std::to_string(response->request_id));
-    }
-    return response;
+    if (attempt > 0) return response;
   }
-  return Status::Internal("unreachable");
 }
 
 Status WatchmanClient::Ping() {
-  WireRequest request;
-  request.op = OpCode::kPing;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return StatusFromWire(response->code, response->message);
+  return ToStatus(Call(OpRequest(OpCode::kPing)));
 }
 
 StatusOr<WatchmanClient::FetchResult> WatchmanClient::Get(
     const std::string& query_text) {
-  WireRequest request;
-  request.op = OpCode::kGet;
-  request.query_text = query_text;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return ToFetchResult(std::move(*response));
+  return ToFetchResult(Call(QueryRequest(OpCode::kGet, query_text)));
 }
 
 StatusOr<WatchmanClient::FetchResult> WatchmanClient::Execute(
     const std::string& query_text) {
-  WireRequest request;
-  request.op = OpCode::kExecute;
-  request.query_text = query_text;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return ToFetchResult(std::move(*response));
+  return ToFetchResult(Call(QueryRequest(OpCode::kExecute, query_text)));
 }
 
 StatusOr<WatchmanClient::FetchResult> WatchmanClient::Execute(
     const std::string& query_text, const std::string& fill_payload,
     uint64_t fill_cost, std::vector<std::string> fill_relations) {
-  WireRequest request;
-  request.op = OpCode::kExecute;
-  request.query_text = query_text;
-  request.has_fill = true;
-  request.fill_payload = fill_payload;
-  request.fill_cost = fill_cost;
-  request.fill_relations = std::move(fill_relations);
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return ToFetchResult(std::move(*response));
+  return ToFetchResult(Call(FillRequest(query_text, fill_payload, fill_cost,
+                                        std::move(fill_relations))));
 }
 
 StatusOr<uint64_t> WatchmanClient::Invalidate(const std::string& query_text) {
-  WireRequest request;
-  request.op = OpCode::kInvalidate;
-  request.query_text = query_text;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return ToDropped(std::move(*response));
+  return ToDropped(Call(QueryRequest(OpCode::kInvalidate, query_text)));
 }
 
 StatusOr<uint64_t> WatchmanClient::InvalidateRelation(
     const std::string& relation) {
-  WireRequest request;
-  request.op = OpCode::kInvalidateRelation;
-  request.relation = relation;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return ToDropped(std::move(*response));
+  return ToDropped(Call(RelationRequest(relation)));
 }
 
 StatusOr<WireStats> WatchmanClient::Stats() {
-  WireRequest request;
-  request.op = OpCode::kStats;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return ToStats(std::move(*response));
+  return ToStats(Call(OpRequest(OpCode::kStats)));
 }
 
 Status WatchmanClient::Compact() {
-  WireRequest request;
-  request.op = OpCode::kCompact;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return StatusFromWire(response->code, response->message);
+  return ToStatus(Call(OpRequest(OpCode::kCompact)));
 }
 
 // --------------------------------------------------- MultiplexedClient
 
-MultiplexedClient::MultiplexedClient(Options options)
-    : options_(std::move(options)), shed_jitter_seed_(FreshJitterSeed()) {}
+MultiplexedClient::MultiplexedClient(Options options, int fd)
+    : options_(std::move(options)),
+      fd_(fd),
+      shed_jitter_seed_(FreshJitterSeed()) {}
 
 StatusOr<std::unique_ptr<MultiplexedClient>> MultiplexedClient::Connect(
     const Options& options) {
   StatusOr<int> fd = DialFd(options);
   if (!fd.ok()) return fd.status();
-  // alloc-ok: one client object per Connect() (setup, not per request)
-  std::unique_ptr<MultiplexedClient> client(new MultiplexedClient(options));
-  client->fd_ = *fd;
-  client->reader_ = std::thread([raw = client.get()] { raw->ReaderLoop(); });
-  return client;
+  return std::unique_ptr<MultiplexedClient>(
+      // alloc-ok: one client object per Connect() (setup, not per request)
+      new MultiplexedClient(options, *fd));
 }
 
-MultiplexedClient::~MultiplexedClient() {
-  stopping_.store(true, std::memory_order_release);
-  ::shutdown(fd_, SHUT_RDWR);  // unblocks the reader's poll
-  if (reader_.joinable()) reader_.join();
-  Break(Status::IOError("client destroyed"));
-  ::close(fd_);
-}
+MultiplexedClient::~MultiplexedClient() { ::close(fd_); }
 
 void MultiplexedClient::Break(const Status& status) {
-  std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> orphans;
-  {
-    MutexLock lock(pending_mu_);
-    if (broken_.ok()) broken_ = status;
-    orphans.swap(pending_);
+  if (broken_.ok()) {
+    broken_ = status;
+    // Wakes a reader blocked in poll; the connection is dead anyway.
+    ::shutdown(fd_, SHUT_RDWR);
   }
-  for (auto& [id, call] : orphans) {
-    MutexLock lock(call->mu);
-    if (call->done) continue;
-    call->error = status;
-    call->done = true;
-    call->cv.NotifyAll();
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    PendingCall& call = it->second;
+    if (!call.awaited) {
+      it = pending_.erase(it);
+      continue;
+    }
+    if (!call.done) {
+      call.error = status;
+      call.done = true;
+      call.cv.NotifyOne();
+    }
+    ++it;
   }
 }
 
 StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartRequest(
     WireRequest& request) {
-  const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  request.request_id = id;
-  // One waiter record per pipelined request -- client-side only; the
-  // daemon's steady-state request path stays allocation-free.
-  // alloc-ok: client-side per-request waiter record
-  auto call = std::make_shared<PendingCall>();
-  {
-    MutexLock lock(pending_mu_);
-    if (!broken_.ok()) return broken_;
-    pending_.emplace(id, call);
-  }
-  {
-    MutexLock lock(send_mu_);
-    AppendRequest(request, &outbuf_);
-  }
-  return id;
+  MutexLock lock(mu_);
+  if (!broken_.ok()) return broken_;
+  request.request_id = ++next_id_;
+  // One waiter record (a map node) per pipelined request --
+  // client-side only; the daemon's request path stays allocation-free.
+  pending_.try_emplace(request.request_id).first->second.op = request.op;
+  AppendRequest(request, &outbuf_);
+  return request.request_id;
 }
 
-Status MultiplexedClient::Flush() {
-  // flush_mu_ serializes socket writers; send_mu_ is held only for the
-  // batch swap, so StartX() on other threads keeps buffering while this
-  // thread is (possibly slowly) driving the socket.
+Status MultiplexedClient::Flush() { return Send(nullptr); }
+
+Status MultiplexedClient::Send(bool* wrote) {
   MutexLock io_lock(flush_mu_);
   {
     // Sticky-failure fast path: flushes queued behind the send that
     // broke the transport must not each burn another io_timeout_ms on
     // the dead socket.
-    MutexLock lock(pending_mu_);
+    MutexLock lock(mu_);
     if (!broken_.ok()) return broken_;
+    wire_.swap(outbuf_);
   }
-  std::string batch;
-  {
-    MutexLock lock(send_mu_);
-    batch.swap(outbuf_);
-  }
-  if (batch.empty()) return Status::OK();
-  const auto deadline = DeadlineIn(options_.io_timeout_ms);
+  if (wire_.empty()) return Status::OK();
   size_t sent = 0;
-  const Status status = SendAllFd(fd_, batch, deadline, &sent);
+  const Status status =
+      SendAllFd(fd_, wire_, DeadlineIn(options_.io_timeout_ms), &sent);
+  wire_.clear();
+  if (wrote != nullptr && sent > 0) *wrote = true;
   if (!status.ok()) {
+    MutexLock lock(mu_);
     Break(status);
-    return status;
   }
-  return Status::OK();
+  return status;
 }
 
 StatusOr<WireResponse> MultiplexedClient::Await(Ticket ticket) {
   WATCHMAN_RETURN_IF_ERROR(Flush());
-  std::shared_ptr<PendingCall> call;
-  {
-    MutexLock lock(pending_mu_);
-    auto it = pending_.find(ticket);
-    if (it == pending_.end()) {
-      if (!broken_.ok()) return broken_;
-      return Status::InvalidArgument("unknown or already-awaited ticket " +
-                                     std::to_string(ticket));
-    }
-    call = it->second;
-  }
+  return Wait(ticket);
+}
+
+StatusOr<WireResponse> MultiplexedClient::Wait(Ticket ticket) {
   const auto deadline = DeadlineIn(options_.io_timeout_ms);
-  bool completed;
-  {
-    // Explicit deadline loop instead of wait_until-with-predicate: the
-    // predicate lambda would be analyzed as a separate function not
-    // holding call->mu, punching a hole in the thread-safety proof.
-    MutexLock lock(call->mu);
-    while (!call->done) {
-      if (call->cv.WaitUntil(call->mu, deadline) == std::cv_status::timeout) {
-        break;
-      }
-    }
-    completed = call->done;
+  MutexLock lock(mu_);
+  auto it = pending_.find(ticket);
+  if (it == pending_.end() || it->second.awaited) {
+    if (!broken_.ok()) return broken_;
+    return Status::InvalidArgument("unknown or already-awaited ticket " +
+                                   std::to_string(ticket));
   }
-  {
-    MutexLock lock(pending_mu_);
-    pending_.erase(ticket);
-  }
-  if (!completed) {
-    // Re-check: the response may have landed between the timed wait and
-    // the erase above.
-    MutexLock lock(call->mu);
-    if (!call->done) {
-      return Status::IOError("deadline exceeded awaiting response " +
-                             std::to_string(ticket));
+  PendingCall& call = it->second;
+  call.awaited = true;
+  Status timed_out;
+  bool held_role = false;
+  // Explicit loop instead of wait_until-with-predicate: the predicate
+  // lambda would be analyzed as a separate function not holding mu_.
+  while (!call.done && timed_out.ok()) {
+    if (read_mu_.TryLock()) {
+      timed_out = ReadUntil(call, deadline);
+      read_mu_.Unlock();
+      held_role = true;
+    } else if (call.cv.WaitUntil(mu_, deadline) == std::cv_status::timeout &&
+               !call.done) {
+      timed_out = Status::IOError("deadline exceeded awaiting response " +
+                                  std::to_string(ticket));
     }
   }
-  MutexLock lock(call->mu);
-  if (!call->error.ok()) return call->error;
-  return std::move(call->response);
+  const Status failure = call.done ? call.error : timed_out;
+  StatusOr<WireResponse> result = std::move(call.response);
+  if (!failure.ok()) result = failure;
+  pending_.erase(ticket);
+  // The role is free once this thread read (a handoff it was sent may
+  // also have raced its deadline): wake a successor, in the same
+  // critical section that saw the role released, so no waiter sleeps
+  // through a free role.
+  if (held_role || !timed_out.ok()) PassReaderRole();
+  return result;
 }
 
-void MultiplexedClient::ReaderLoop() {
-  std::string inbuf;
+Status MultiplexedClient::ReadUntil(const PendingCall& call,
+                                    Clock::time_point deadline) {
+  while (!call.done) {
+    mu_.Unlock();
+    const Status ready = PollFd(fd_, POLLIN, deadline, "recv");
+    const Status read = ready.ok() ? ReadFrames() : Status::OK();
+    mu_.Lock();
+    // A deadline fails only this call; the connection stays up.
+    if (!ready.ok()) return ready;
+    if (!read.ok()) Break(read);
+  }
+  return Status::OK();
+}
+
+Status MultiplexedClient::ReadFrames() {
   char chunk[64 * 1024];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    // Drain every complete frame before reading more; the consumed
-    // prefix is erased once per batch (a per-frame erase would memmove
-    // the whole buffer once per response on pipelined bursts).
-    size_t consumed = 0;
-    bool desynchronized = false;
-    Status break_status;
-    while (true) {
-      std::string_view body;
-      size_t frame_size = 0;
-      StatusOr<bool> extracted =
-          ExtractFrame(std::string_view(inbuf).substr(consumed),
-                       options_.max_frame_bytes, &body, &frame_size);
-      if (!extracted.ok()) {
-        desynchronized = true;
-        break_status = extracted.status();
-        break;
-      }
-      if (!*extracted) break;
-      StatusOr<WireResponse> response = DecodeResponse(body);
-      consumed += frame_size;
-      if (!response.ok()) {
-        // Undecodable frame: the stream is desynchronized beyond
-        // repair.
-        desynchronized = true;
-        break_status = response.status();
-        break;
-      }
-      std::shared_ptr<PendingCall> call;
-      {
-        MutexLock lock(pending_mu_);
-        auto it = pending_.find(response->request_id);
-        if (it != pending_.end()) call = it->second;
-      }
-      if (call != nullptr) {
-        MutexLock lock(call->mu);
-        call->response = std::move(*response);
-        call->done = true;
-        call->cv.NotifyAll();
-      } else if (response->code != StatusCode::kOk &&
-                 response->request_id == 0) {
-        // A framing-level error the daemon could not attribute to one
-        // request (id 0): the connection is going away, fail everyone
-        // with the daemon's own message.
-        desynchronized = true;
-        break_status = StatusFromWire(response->code, response->message);
-        break;
-      }
-      // A stray OK response (e.g. the waiter timed out and left) is
-      // dropped on the floor.
+  const ssize_t n = FaultRecv(fd_, chunk, sizeof(chunk), 0);
+  if (n == 0) return Status::IOError("connection closed by the daemon");
+  if (n < 0) {
+    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Status::OK();
     }
-    if (desynchronized) {
-      Break(break_status);
+    return Status::IOError(std::string("recv: ") + ErrnoString(errno));
+  }
+  inbuf_.append(chunk, static_cast<size_t>(n));
+  // Route every complete frame; the consumed prefix is erased once per
+  // batch (a per-frame erase would memmove the whole buffer once per
+  // response on pipelined bursts). Decoding runs outside mu_.
+  size_t consumed = 0;
+  Status status;
+  while (status.ok()) {
+    std::string_view body;
+    size_t frame_size = 0;
+    StatusOr<bool> extracted =
+        ExtractFrame(std::string_view(inbuf_).substr(consumed),
+                     options_.max_frame_bytes, &body, &frame_size);
+    if (!extracted.ok()) {
+      status = extracted.status();
+      break;
+    }
+    if (!*extracted) break;
+    consumed += frame_size;
+    // An undecodable frame desynchronizes the stream beyond repair.
+    StatusOr<WireResponse> response = DecodeResponse(body);
+    if (!response.ok()) {
+      status = response.status();
+      break;
+    }
+    MutexLock lock(mu_);
+    status = Deliver(std::move(*response));
+  }
+  inbuf_.erase(0, consumed);
+  return status;
+}
+
+Status MultiplexedClient::Deliver(WireResponse&& response) {
+  auto it = pending_.find(response.request_id);
+  if (it == pending_.end()) {
+    // A framing-level error the daemon could not attribute to one
+    // request (id 0): the connection is going away, fail everyone with
+    // the daemon's own message. Anything else answers a waiter that
+    // timed out and left, and is dropped.
+    if (response.code != StatusCode::kOk && response.request_id == 0) {
+      return StatusFromWire(response.code, response.message);
+    }
+    return Status::OK();
+  }
+  PendingCall& call = it->second;
+  // An OK answer under the wrong op means the stream is confused. An
+  // error answer is delivered as-is, so the daemon's own status is not
+  // masked behind a mismatch.
+  if (response.op != call.op && response.code == StatusCode::kOk) {
+    return Status::Internal("response op mismatch for request id " +
+                            std::to_string(it->first));
+  }
+  call.response = std::move(response);
+  call.done = true;
+  call.cv.NotifyOne();
+  return Status::OK();
+}
+
+void MultiplexedClient::PassReaderRole() {
+  for (auto& [id, call] : pending_) {
+    if (call.awaited && !call.done) {
+      call.cv.NotifyOne();
       return;
     }
-    if (consumed > 0) inbuf.erase(0, consumed);
-    // Need more bytes. Short poll intervals keep shutdown prompt.
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 50);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      Break(Status::IOError(std::string("poll: ") + ErrnoString(errno)));
-      return;
-    }
-    if (ready == 0) continue;
-    const ssize_t n = FaultRecv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      Break(Status::IOError("connection closed by the daemon"));
-      return;
-    }
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      Break(Status::IOError(std::string("recv: ") + ErrnoString(errno)));
-      return;
-    }
-    inbuf.append(chunk, static_cast<size_t>(n));
   }
 }
 
-StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartPing() {
-  WireRequest request;
-  request.op = OpCode::kPing;
-  return StartRequest(request);
-}
-
-StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartGet(
-    const std::string& query_text) {
-  WireRequest request;
-  request.op = OpCode::kGet;
-  request.query_text = query_text;
-  return StartRequest(request);
-}
-
-StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartExecute(
-    const std::string& query_text) {
-  WireRequest request;
-  request.op = OpCode::kExecute;
-  request.query_text = query_text;
-  return StartRequest(request);
-}
-
-StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartExecute(
-    const std::string& query_text, const std::string& fill_payload,
-    uint64_t fill_cost, std::vector<std::string> fill_relations) {
-  WireRequest request;
-  request.op = OpCode::kExecute;
-  request.query_text = query_text;
-  request.has_fill = true;
-  request.fill_payload = fill_payload;
-  request.fill_cost = fill_cost;
-  request.fill_relations = std::move(fill_relations);
-  return StartRequest(request);
-}
-
-StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartInvalidate(
-    const std::string& query_text) {
-  WireRequest request;
-  request.op = OpCode::kInvalidate;
-  request.query_text = query_text;
-  return StartRequest(request);
-}
-
-StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartInvalidateRelation(
-    const std::string& relation) {
-  WireRequest request;
-  request.op = OpCode::kInvalidateRelation;
-  request.relation = relation;
-  return StartRequest(request);
-}
-
-StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartStats() {
-  WireRequest request;
-  request.op = OpCode::kStats;
-  return StartRequest(request);
-}
-
-StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartCompact() {
-  WireRequest request;
-  request.op = OpCode::kCompact;
-  return StartRequest(request);
+StatusOr<WireResponse> MultiplexedClient::CallOnce(WireRequest& request,
+                                                   bool* wrote) {
+  StatusOr<Ticket> ticket = StartRequest(request);
+  if (!ticket.ok()) return ticket.status();
+  WATCHMAN_RETURN_IF_ERROR(Send(wrote));
+  return Wait(*ticket);
 }
 
 // Start + Await with the same shed-retry semantics as the blocking
 // client: each retry re-encodes under a fresh id after the hinted,
 // jittered backoff. Callers driving StartX()/Await() directly see the
 // shed response verbatim and schedule their own retries.
-StatusOr<WireResponse> MultiplexedClient::CallBlocking(
-    const std::function<StatusOr<Ticket>()>& start) {
+StatusOr<WireResponse> MultiplexedClient::CallBlocking(WireRequest request) {
   for (int attempt = 0;; ++attempt) {
-    StatusOr<Ticket> ticket = start();
-    if (!ticket.ok()) return ticket.status();
-    StatusOr<WireResponse> response = Await(*ticket);
-    if (!response.ok() ||
-        response->code != StatusCode::kShedRetryLater ||
+    StatusOr<WireResponse> response = CallOnce(request, nullptr);
+    if (!response.ok() || response->code != StatusCode::kShedRetryLater ||
         attempt >= options_.shed_retries) {
       return response;
     }
-    const int backoff =
-        ShedBackoffMs(static_cast<int>(response->retry_after_ms),
-                      options_.max_shed_backoff_ms, attempt,
-                      shed_jitter_seed_);
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
+    SleepBeforeShedRetry(options_, response->retry_after_ms, attempt,
+                         shed_jitter_seed_);
   }
 }
 
+StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartPing() {
+  WireRequest request = OpRequest(OpCode::kPing);
+  return StartRequest(request);
+}
+
+StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartGet(
+    const std::string& query_text) {
+  WireRequest request = QueryRequest(OpCode::kGet, query_text);
+  return StartRequest(request);
+}
+
+StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartExecute(
+    const std::string& query_text) {
+  WireRequest request = QueryRequest(OpCode::kExecute, query_text);
+  return StartRequest(request);
+}
+
+StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartExecute(
+    const std::string& query_text, const std::string& fill_payload,
+    uint64_t fill_cost, std::vector<std::string> fill_relations) {
+  WireRequest request = FillRequest(query_text, fill_payload, fill_cost,
+                                    std::move(fill_relations));
+  return StartRequest(request);
+}
+
+StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartInvalidate(
+    const std::string& query_text) {
+  WireRequest request = QueryRequest(OpCode::kInvalidate, query_text);
+  return StartRequest(request);
+}
+
+StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartInvalidateRelation(
+    const std::string& relation) {
+  WireRequest request = RelationRequest(relation);
+  return StartRequest(request);
+}
+
+StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartStats() {
+  WireRequest request = OpRequest(OpCode::kStats);
+  return StartRequest(request);
+}
+
+StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartCompact() {
+  WireRequest request = OpRequest(OpCode::kCompact);
+  return StartRequest(request);
+}
+
 Status MultiplexedClient::Ping() {
-  StatusOr<WireResponse> response =
-      CallBlocking([this] { return StartPing(); });
-  if (!response.ok()) return response.status();
-  return StatusFromWire(response->code, response->message);
+  return ToStatus(CallBlocking(OpRequest(OpCode::kPing)));
 }
 
 StatusOr<MultiplexedClient::FetchResult> MultiplexedClient::Get(
     const std::string& query_text) {
-  StatusOr<WireResponse> response =
-      CallBlocking([&] { return StartGet(query_text); });
-  if (!response.ok()) return response.status();
-  return ToFetchResult(std::move(*response));
+  return ToFetchResult(CallBlocking(QueryRequest(OpCode::kGet, query_text)));
 }
 
 StatusOr<MultiplexedClient::FetchResult> MultiplexedClient::Execute(
     const std::string& query_text) {
-  StatusOr<WireResponse> response =
-      CallBlocking([&] { return StartExecute(query_text); });
-  if (!response.ok()) return response.status();
-  return ToFetchResult(std::move(*response));
+  return ToFetchResult(
+      CallBlocking(QueryRequest(OpCode::kExecute, query_text)));
 }
 
 StatusOr<MultiplexedClient::FetchResult> MultiplexedClient::Execute(
     const std::string& query_text, const std::string& fill_payload,
     uint64_t fill_cost, std::vector<std::string> fill_relations) {
-  StatusOr<WireResponse> response = CallBlocking([&] {
-    return StartExecute(query_text, fill_payload, fill_cost, fill_relations);
-  });
-  if (!response.ok()) return response.status();
-  return ToFetchResult(std::move(*response));
+  return ToFetchResult(CallBlocking(FillRequest(
+      query_text, fill_payload, fill_cost, std::move(fill_relations))));
 }
 
 StatusOr<uint64_t> MultiplexedClient::Invalidate(
     const std::string& query_text) {
-  StatusOr<WireResponse> response =
-      CallBlocking([&] { return StartInvalidate(query_text); });
-  if (!response.ok()) return response.status();
-  return ToDropped(std::move(*response));
+  return ToDropped(
+      CallBlocking(QueryRequest(OpCode::kInvalidate, query_text)));
 }
 
 StatusOr<uint64_t> MultiplexedClient::InvalidateRelation(
     const std::string& relation) {
-  StatusOr<WireResponse> response =
-      CallBlocking([&] { return StartInvalidateRelation(relation); });
-  if (!response.ok()) return response.status();
-  return ToDropped(std::move(*response));
+  return ToDropped(CallBlocking(RelationRequest(relation)));
 }
 
 StatusOr<WireStats> MultiplexedClient::Stats() {
-  StatusOr<WireResponse> response =
-      CallBlocking([this] { return StartStats(); });
-  if (!response.ok()) return response.status();
-  return ToStats(std::move(*response));
+  return ToStats(CallBlocking(OpRequest(OpCode::kStats)));
 }
 
 Status MultiplexedClient::Compact() {
-  StatusOr<WireResponse> response =
-      CallBlocking([this] { return StartCompact(); });
-  if (!response.ok()) return response.status();
-  return StatusFromWire(response->code, response->message);
+  return ToStatus(CallBlocking(OpRequest(OpCode::kCompact)));
 }
 
 // ------------------------------------------------------ RemoteWatchman

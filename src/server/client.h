@@ -1,28 +1,29 @@
 // Client libraries for watchmand.
 //
-// WatchmanClient owns one TCP connection and issues one request per
-// round trip; Connect() retries with capped exponential backoff, and
-// every socket wait (connect, send, recv) honors Options::io_timeout_ms
-// via poll, so a stalled or half-dead daemon fails the call within the
-// deadline instead of wedging the caller. A round trip that hits a dead
-// connection redials once ONLY when it is safe: either no byte of the
-// request reached the wire, or the op is a pure probe/offer (PING, GET,
-// STATS, EXECUTE) whose replay the daemon absorbs idempotently.
-// INVALIDATE / INVALIDATE_RELATION are NOT replay-safe -- a resend
-// after a lost response would report dropped=0 for a set the daemon
-// actually dropped -- so those surface IOError and let the caller
-// decide. Calls are serialized on an internal mutex, so a client may be
-// shared between threads, but one connection pays one round trip at a
-// time.
+// MultiplexedClient is the one connection engine. It owns one TCP
+// connection and shares it between any number of application threads
+// using the wire protocol's v3 request ids: StartX() stamps a fresh id
+// and buffers the encoded frame (no socket write, no waiting),
+// Flush()/Await() push every buffered frame to the wire in one send,
+// and responses complete by id, in any order, so the pipe stays full.
+// There is no reader thread: a caller blocked in Await() reads the
+// socket itself. At most one waiter holds the reader role at a time;
+// it routes every complete frame to its ticket and, once its own
+// response lands, hands the role to one thread that is still waiting.
+// Every socket wait (connect, send, recv) honors Options::io_timeout_ms
+// via poll. A transport failure is sticky: every pending and future
+// call fails with the same status.
 //
-// MultiplexedClient shares ONE connection between many application
-// threads using the wire protocol's v3 request ids: a buffered writer
-// pipelines encoded frames (flushed on Await()/Flush(), no per-request
-// round trip), and a dedicated reader thread demultiplexes responses to
-// per-request waiters by id, so responses may complete out of order and
-// the pipe stays full. StartX()/Await() expose the pipelining directly;
-// the blocking Ping()/Get()/... wrappers are Start+Await and are safe
-// to call from any number of threads concurrently.
+// WatchmanClient is the blocking face of the same engine. Calls are
+// serialized on an internal mutex, so a client may be shared between
+// threads, but it pays one round trip at a time. A call that fails in
+// transport (IOError) drops the connection and redials once, ONLY when
+// it is safe: either no byte of the request reached the wire, or the
+// op is a pure probe/offer (PING, GET, STATS, EXECUTE, COMPACT) whose
+// replay the daemon absorbs idempotently. INVALIDATE /
+// INVALIDATE_RELATION are NOT replay-safe -- a resend after a lost
+// response would report dropped=0 for a set the daemon actually
+// dropped -- so those surface IOError and let the caller decide.
 //
 // RemoteWatchman layers the Watchman query API on top of a
 // WatchmanClient: Execute() first probes the daemon (GET), on a miss
@@ -35,13 +36,10 @@
 #ifndef WATCHMAN_SERVER_CLIENT_H_
 #define WATCHMAN_SERVER_CLIENT_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -71,7 +69,10 @@ int DialBackoffMs(int base_ms, int max_ms, int attempt,
 int ShedBackoffMs(int hint_ms, int max_ms, int attempt,
                   uint64_t jitter_seed = 0);
 
-/// Blocking request/response client for one watchmand connection.
+class MultiplexedClient;
+
+/// Blocking request/response client for one watchmand connection: a
+/// serialized, redialing wrapper over one MultiplexedClient.
 class WatchmanClient {
  public:
   struct Options {
@@ -84,8 +85,9 @@ class WatchmanClient {
     int retry_backoff_ms = 20;
     int max_backoff_ms = 2000;
     /// Deadline enforced (via poll) on every socket wait -- connect,
-    /// send, recv -- counted from the start of each call. 0 disables
-    /// the deadline (waits forever, pre-v3 behavior).
+    /// send, recv -- counted from the start of each dial attempt, flush
+    /// and await. 0 disables the deadline (waits forever, pre-v3
+    /// behavior).
     int io_timeout_ms = 30000;
     size_t max_frame_bytes = kDefaultMaxFrameBytes;
     /// Automatic retries of a request the daemon shed (kShedRetryLater),
@@ -149,37 +151,33 @@ class WatchmanClient {
   Status Compact();
 
  private:
-  explicit WatchmanClient(Options options);
+  WatchmanClient(Options options, std::unique_ptr<MultiplexedClient> engine);
 
-  /// (Re)connects fd_, with retry/backoff.
-  Status Dial() REQUIRES(mu_);
-  /// One RoundTripLocked per shed-retry attempt (Options::shed_retries),
-  /// sleeping the hinted, jittered backoff between attempts.
-  StatusOr<WireResponse> RoundTrip(WireRequest& request) EXCLUDES(mu_);
-  /// Stamps a fresh request id, sends `request` and reads the matching
-  /// response; redials once only when the replay is provably safe.
-  StatusOr<WireResponse> RoundTripLocked(WireRequest& request) REQUIRES(mu_);
-  StatusOr<std::string> ReadFrameBody(
-      std::chrono::steady_clock::time_point deadline) REQUIRES(mu_);
-  void CloseLocked() REQUIRES(mu_);
+  /// One call, retried after each shed (Options::shed_retries) with
+  /// the hinted, jittered backoff.
+  StatusOr<WireResponse> Call(WireRequest request) EXCLUDES(mu_);
+  /// One attempt over engine_, dialing first when there is none. An
+  /// IOError drops the connection and redials once, when the replay is
+  /// provably safe.
+  StatusOr<WireResponse> CallLocked(WireRequest& request) REQUIRES(mu_);
 
   Options options_;
   Mutex mu_;
-  int fd_ GUARDED_BY(mu_) = -1;
-  uint64_t next_request_id_ GUARDED_BY(mu_) = 0;
+  /// Null after a transport failure, until the next call redials.
+  std::unique_ptr<MultiplexedClient> engine_ GUARDED_BY(mu_);
   /// Jitter seed for shed-retry backoff (fixed per client instance).
   uint64_t shed_jitter_seed_ = 0;
-  /// Bytes received but not yet consumed as a frame.
-  std::string inbuf_ GUARDED_BY(mu_);
 };
 
 /// One connection shared by many application threads: requests are
 /// stamped with unique ids, buffered and pipelined by a writer path
-/// that never waits for responses, and a dedicated reader thread routes
-/// each response to its waiter by id. Any transport failure (send
-/// error, recv error, undecodable response, deadline on the socket)
-/// is sticky: every pending and future call fails with the same status
-/// and the caller reconnects by constructing a new client.
+/// that never waits for responses, and the thread waiting in Await()
+/// reads the socket and routes each response to its waiter by id. Any
+/// transport failure (send error, recv error, undecodable response,
+/// deadline on a send) is sticky: every pending and future call fails
+/// with the same status and the caller reconnects by constructing a
+/// new client. A deadline while awaiting fails only that call; its
+/// late response is dropped and the connection keeps serving.
 class MultiplexedClient {
  public:
   using Options = WatchmanClient::Options;
@@ -187,8 +185,8 @@ class MultiplexedClient {
   /// Handle for an in-flight pipelined request.
   using Ticket = uint64_t;
 
-  /// Dials the daemon (with retry/backoff per `options`) and spawns the
-  /// reader thread.
+  /// Dials the daemon (with retry/backoff per `options`). Starts no
+  /// thread.
   static StatusOr<std::unique_ptr<MultiplexedClient>> Connect(
       const Options& options);
 
@@ -201,7 +199,9 @@ class MultiplexedClient {
   // write, no waiting); Flush()/Await() push buffered frames to the
   // wire. Await(ticket) blocks until that request's response arrives
   // (or Options::io_timeout_ms elapses -> IOError) and may be called
-  // from any thread, in any order relative to other tickets.
+  // from any thread, in any order relative to other tickets. Nothing
+  // reads the socket while no thread awaits: responses wait in the
+  // kernel until the next Await().
   StatusOr<Ticket> StartPing();
   StatusOr<Ticket> StartGet(const std::string& query_text);
   StatusOr<Ticket> StartExecute(const std::string& query_text);
@@ -236,57 +236,87 @@ class MultiplexedClient {
   Status Compact();
 
  private:
+  friend class WatchmanClient;
+
+  /// One in-flight request. Held by value in pending_, whose nodes
+  /// never move, so a waiter keeps a reference across its waits. Every
+  /// field is guarded by mu_.
   struct PendingCall {
-    Mutex mu;
+    OpCode op = OpCode::kPing;
+    /// A thread is waiting for this call in Await().
+    bool awaited = false;
+    bool done = false;
+    /// Transport-level failure; `response` is valid when done and ok.
+    Status error;
+    WireResponse response;
+    /// Wakes the awaiting thread: its response landed, or the reader
+    /// role is handed to it.
     CondVar cv;
-    bool done GUARDED_BY(mu) = false;
-    // Transport-level failure (response invalid).
-    Status error GUARDED_BY(mu);
-    // Valid when done && error.ok().
-    WireResponse response GUARDED_BY(mu);
   };
 
-  explicit MultiplexedClient(Options options);
+  MultiplexedClient(Options options, int fd);
 
-  StatusOr<Ticket> StartRequest(WireRequest& request);
-  /// Start + Await with shed-retry backoff (the blocking wrappers).
-  StatusOr<WireResponse> CallBlocking(
-      const std::function<StatusOr<Ticket>()>& start);
-  void ReaderLoop();
-  /// Marks the transport broken and fails every pending call.
-  void Break(const Status& status);
+  StatusOr<Ticket> StartRequest(WireRequest& request) EXCLUDES(mu_);
+  /// Sends every buffered frame; *wrote (when non-null) becomes true
+  /// once any byte reached the wire.
+  Status Send(bool* wrote) EXCLUDES(flush_mu_, mu_);
+  /// Await() minus the flush.
+  StatusOr<WireResponse> Wait(Ticket ticket) EXCLUDES(mu_);
+  /// Holding the reader role, reads and routes responses until `call`
+  /// is done. Returns non-OK only when `deadline` passes first; a
+  /// transport failure breaks the client (which completes `call`).
+  /// Releases mu_ around every socket wait.
+  Status ReadUntil(const PendingCall& call,
+                   std::chrono::steady_clock::time_point deadline)
+      REQUIRES(mu_, read_mu_);
+  /// One recv into inbuf_, then every complete frame is decoded and
+  /// delivered. Non-OK when the transport failed or the stream is
+  /// desynchronized.
+  Status ReadFrames() REQUIRES(read_mu_) EXCLUDES(mu_);
+  /// Completes the call `response` answers; a response whose waiter
+  /// timed out and left is dropped.
+  Status Deliver(WireResponse&& response) REQUIRES(mu_);
+  /// Wakes one thread still waiting, to take the free reader role.
+  void PassReaderRole() REQUIRES(mu_);
+  /// Start + flush + wait for one request. *wrote (when non-null)
+  /// reports whether any byte of it reached the wire; exact only while
+  /// no other thread shares the client (WatchmanClient's case).
+  StatusOr<WireResponse> CallOnce(WireRequest& request, bool* wrote);
+  /// CallOnce with shed-retry backoff (the blocking wrappers).
+  StatusOr<WireResponse> CallBlocking(WireRequest request);
+  /// Marks the transport broken, fails every awaited call and forgets
+  /// the unawaited ones (a later Await reports the sticky status).
+  void Break(const Status& status) REQUIRES(mu_);
 
-  Options options_;
-  /// Deliberately unguarded: written exactly once (in Connect, before
-  /// the reader thread spawns and before the client pointer escapes),
-  /// then only read -- by flushers, the reader's poll/recv, and the
-  /// destructor's shutdown/close after the reader is joined. The
-  /// thread-spawn and unique_ptr handoffs publish it.
-  int fd_ = -1;
-  std::thread reader_;
-  std::atomic<bool> stopping_{false};
+  const Options options_;
+  /// Connected before the client escapes, closed by the destructor.
+  /// One flusher writes to it and one reader reads from it at a time.
+  const int fd_;
 
-  /// Writer state: encoded frames accumulate in outbuf_ under send_mu_
-  /// and are sent in one batch by Flush/Await. The socket write itself
-  /// happens under flush_mu_ ONLY, so StartX() keeps buffering (and
-  /// never blocks) while another thread's flush is stalled on the
-  /// socket; flush_mu_ serializes senders so batches hit the wire
-  /// whole. Lock order: flush_mu_ before send_mu_, never both held
-  /// across a syscall (ACQUIRED_BEFORE turns a violation into a
-  /// compile error under -Werror=thread-safety).
-  Mutex flush_mu_ ACQUIRED_BEFORE(send_mu_);
-  Mutex send_mu_;
-  std::string outbuf_ GUARDED_BY(send_mu_);
+  /// Socket writes happen under flush_mu_ only, so StartX() keeps
+  /// buffering (and never blocks) while another thread's flush is
+  /// stalled on the socket, and batches hit the wire whole. Lock
+  /// order: flush_mu_ before mu_, never both held across a syscall.
+  Mutex flush_mu_ ACQUIRED_BEFORE(mu_);
+  /// The batch being sent; swapped with outbuf_ so both buffers keep
+  /// their capacity.
+  std::string wire_ GUARDED_BY(flush_mu_);
 
-  /// Waiter registry; broken_ is the sticky transport failure.
-  Mutex pending_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> pending_
-      GUARDED_BY(pending_mu_);
-  Status broken_ GUARDED_BY(pending_mu_);
+  /// The reader role: held (via TryLock) by the one waiter that reads
+  /// the socket.
+  Mutex read_mu_;
+  /// Bytes received but not yet consumed as a frame.
+  std::string inbuf_ GUARDED_BY(read_mu_);
 
-  std::atomic<uint64_t> next_id_{0};
+  /// Guards the write buffer, the waiter registry and the sticky
+  /// transport failure broken_.
+  Mutex mu_;
+  std::string outbuf_ GUARDED_BY(mu_);
+  std::unordered_map<uint64_t, PendingCall> pending_ GUARDED_BY(mu_);
+  Status broken_ GUARDED_BY(mu_);
+  uint64_t next_id_ GUARDED_BY(mu_) = 0;
   /// Jitter seed for shed-retry backoff (fixed per client instance).
-  uint64_t shed_jitter_seed_ = 0;
+  const uint64_t shed_jitter_seed_;
 };
 
 /// Drop-in remote counterpart of the Watchman facade's query API.

@@ -1,8 +1,10 @@
 // MultiplexedClient <-> event-loop server integration: one connection
 // shared by many threads, out-of-order response routing by request id,
 // pipelined writes, partial-write resumption under a tiny SO_SNDBUF,
-// and Await deadlines. The suite name contains "Server" so the
-// concurrency-heavy tests run under the CI TSan job's *Server* filter.
+// Await deadlines, and the caller-reads design (no client thread; the
+// reader role passes between waiting threads). The suite name contains
+// "Server" so the concurrency-heavy tests run under the CI TSan job's
+// *Server* filter.
 
 #include <gtest/gtest.h>
 
@@ -14,20 +16,115 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "server/client.h"
+#include "server/protocol.h"
 #include "server/server.h"
 #include "watchman/watchman.h"
 
 namespace watchman {
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 std::string PayloadFor(const std::string& text) {
   return "payload(" + text + ")";
+}
+
+double ElapsedMs(Clock::time_point since) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - since)
+      .count();
+}
+
+/// Threads of this process, from /proc/self/task.
+size_t ThreadCount() {
+  size_t threads = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+/// A one-connection loopback "daemon" the test scripts by hand: it
+/// reads requests and answers them when, and in the order, the script
+/// says. Every answer is an OK GET hit carrying PayloadFor(query).
+class ScriptedDaemon {
+ public:
+  ScriptedDaemon() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len),
+        0);
+    EXPECT_EQ(::listen(listen_fd_, 4), 0);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~ScriptedDaemon() {
+    if (conn_fd_ >= 0) ::close(conn_fd_);
+    ::close(listen_fd_);
+  }
+
+  uint16_t port() const { return port_; }
+
+  void Accept() { conn_fd_ = ::accept(listen_fd_, nullptr, nullptr); }
+
+  /// Reads the next request; an empty query text on EOF or garbage.
+  WireRequest Read() {
+    char chunk[4096];
+    while (true) {
+      std::string_view body;
+      size_t frame_size = 0;
+      auto extracted =
+          ExtractFrame(inbuf_, kDefaultMaxFrameBytes, &body, &frame_size);
+      if (!extracted.ok()) return {};
+      if (*extracted) {
+        auto request = DecodeRequest(body);
+        inbuf_.erase(0, frame_size);
+        return request.ok() ? *request : WireRequest{};
+      }
+      const ssize_t n = ::recv(conn_fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) return {};
+      inbuf_.append(chunk, static_cast<size_t>(n));
+    }
+  }
+
+  void Answer(const WireRequest& request) {
+    WireResponse response;
+    response.op = request.op;
+    response.request_id = request.request_id;
+    response.cache_hit = true;
+    response.payload = PayloadFor(request.query_text);
+    const std::string frame = EncodeResponse(response);
+    (void)!::send(conn_fd_, frame.data(), frame.size(), MSG_NOSIGNAL);
+  }
+
+ private:
+  int listen_fd_ = -1;
+  int conn_fd_ = -1;
+  uint16_t port_ = 0;
+  std::string inbuf_;
+};
+
+MultiplexedClient::Options ScriptedOptions(uint16_t port, int io_timeout_ms) {
+  MultiplexedClient::Options options;
+  options.port = port;
+  options.connect_attempts = 1;
+  options.io_timeout_ms = io_timeout_ms;
+  return options;
 }
 
 class MultiplexedClientServerTest : public testing::Test {
@@ -257,8 +354,9 @@ TEST_F(MultiplexedClientServerTest, TransportFailureIsStickyAndFailsFast) {
   auto client = MakeClient();
   ASSERT_TRUE(client->Ping().ok());
   server_->Stop();  // closes the connection under the client
-  // The reader notices EOF and breaks the client; subsequent calls
-  // fail fast with the sticky status instead of hanging.
+  // The next caller to read the socket sees EOF and breaks the client;
+  // subsequent calls fail fast with the sticky status instead of
+  // hanging.
   Status status;
   for (int i = 0; i < 50; ++i) {
     status = client->Ping();
@@ -273,6 +371,95 @@ TEST_F(MultiplexedClientServerTest, TransportFailureIsStickyAndFailsFast) {
           std::chrono::steady_clock::now() - begin)
           .count();
   EXPECT_LT(fail_fast_ms, 1000.0);
+}
+
+TEST_F(MultiplexedClientServerTest, ConnectStartsNoThread) {
+  // The thread blocked in Await() reads the socket itself: connecting
+  // and serving a call must leave the process's thread count alone.
+  StartServer();
+  const size_t before = ThreadCount();
+  auto client = MakeClient();
+  EXPECT_EQ(ThreadCount(), before);
+  auto miss = client->Get("select nothing");
+  EXPECT_EQ(miss.status().code(), StatusCode::kNotFound)
+      << miss.status().ToString();
+  EXPECT_EQ(ThreadCount(), before);
+}
+
+TEST_F(MultiplexedClientServerTest, ReaderRoleIsHandedToTheNextWaiter) {
+  // Thread A awaits ticket a and takes the reader role; thread B awaits
+  // ticket b and sleeps. The daemon answers a, pauses, then answers b.
+  // A returns with a and must hand the role to B, which then reads b
+  // itself. A lost wake-up would leave B asleep until its 5 s deadline.
+  ScriptedDaemon daemon;
+  std::thread script([&] {
+    daemon.Accept();
+    const WireRequest a = daemon.Read();
+    const WireRequest b = daemon.Read();
+    // Let both waiters park: A in poll, B on its condition variable.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    daemon.Answer(a);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    daemon.Answer(b);
+  });
+
+  auto client =
+      MultiplexedClient::Connect(ScriptedOptions(daemon.port(), 5000));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto a = (*client)->StartGet("select a");
+  auto b = (*client)->StartGet("select b");
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE((*client)->Flush().ok());
+
+  std::optional<StatusOr<WireResponse>> got_a, got_b;
+  double b_ms = 0;
+  std::thread waiter_a([&] { got_a = (*client)->Await(*a); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread waiter_b([&] {
+    const auto begin = Clock::now();
+    got_b = (*client)->Await(*b);
+    b_ms = ElapsedMs(begin);
+  });
+  waiter_a.join();
+  waiter_b.join();
+  script.join();
+
+  ASSERT_TRUE(got_a->ok()) << got_a->status().ToString();
+  EXPECT_EQ((*got_a)->payload, PayloadFor("select a"));
+  ASSERT_TRUE(got_b->ok()) << got_b->status().ToString();
+  EXPECT_EQ((*got_b)->payload, PayloadFor("select b"));
+  EXPECT_LT(b_ms, 2000.0);
+}
+
+TEST_F(MultiplexedClientServerTest, LateResponseIsDroppedAndConnectionServes) {
+  // The daemon holds the first answer until the second request
+  // arrives, i.e. until the first waiter has timed out. That late
+  // answer must be dropped (its waiter left), and the connection must
+  // keep serving: the second call gets its own answer.
+  ScriptedDaemon daemon;
+  std::thread script([&] {
+    daemon.Accept();
+    const WireRequest first = daemon.Read();
+    const WireRequest second = daemon.Read();
+    daemon.Answer(first);
+    daemon.Answer(second);
+    daemon.Answer(daemon.Read());
+  });
+
+  auto client =
+      MultiplexedClient::Connect(ScriptedOptions(daemon.port(), 300));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto first = (*client)->Get("select first");
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kIOError);
+
+  auto second = (*client)->Get("select second");
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->payload, PayloadFor("select second"));
+  auto third = (*client)->Get("select third");
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_EQ(third->payload, PayloadFor("select third"));
+  script.join();
 }
 
 }  // namespace
