@@ -168,7 +168,9 @@ BenchResult RunBlockingGet(const std::string& scenario, uint16_t port,
 /// syscall/wakeup cost is ~1/window of the blocking client's.
 BenchResult RunPipelinedGet(const std::string& scenario, uint16_t port,
                             uint64_t iters, size_t window) {
-  auto client = MultiplexedClient::Connect({.port = port});
+  MultiplexedClient::Options options;
+  options.port = port;
+  auto client = MultiplexedClient::Connect(options);
   if (!client.ok()) {
     std::fprintf(stderr, "  %s: cannot connect\n", scenario.c_str());
     return BenchResult{};
@@ -203,7 +205,9 @@ BenchResult RunPipelinedGet(const std::string& scenario, uint16_t port,
 /// the shared writer and demultiplex by id on the shared reader.
 BenchResult RunMuxThreads(uint16_t port, int threads,
                           uint64_t iters_per_thread) {
-  auto client = MultiplexedClient::Connect({.port = port});
+  MultiplexedClient::Options options;
+  options.port = port;
+  auto client = MultiplexedClient::Connect(options);
   if (!client.ok()) {
     std::fprintf(stderr, "  loopback_get_mux: cannot connect\n");
     return BenchResult{};

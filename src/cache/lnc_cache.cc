@@ -10,7 +10,7 @@ namespace watchman {
 LncCache::LncCache(const LncOptions& options)
     : QueryCache(Options{options.capacity_bytes, options.k}),
       opts_(options),
-      by_profit_(options.eager_profits ? 0 : options.profit_quant_steps) {}
+      by_profit_(options.profit_quant_steps) {}
 
 std::string LncCache::name() const {
   std::string base = opts_.admission ? "lnc-ra" : "lnc-r";
@@ -67,19 +67,13 @@ void LncCache::SelectCandidates(uint64_t bytes_needed, Timestamp now,
   // Bucket R_i: i = number of recorded references (capped at K by the
   // history window). Lower buckets are evicted first; ascending profit
   // within a bucket.
-  if (opts_.eager_profits) {
-    // Eager reference path: keys were refreshed within the aging
-    // horizon; walk them as-is and leave the aggregates to the explicit
-    // ListProfit walks.
-    CollectVictimsInto(by_profit_, bytes_needed, &candidate_scratch_);
-    return;
-  }
-  // Lazy path: the index holds each entry's profit as of its last
-  // evaluation, an upper bound of its profit at `now`. Re-validate each
-  // candidate at decision time -- the fresh key only moves toward the
-  // eviction end, so the walk still visits the ascending prefix of
-  // current keys -- and fold its rate into the admission aggregates
-  // while its history is hot in cache.
+  //
+  // The index holds each entry's profit as of its last evaluation, an
+  // upper bound of its profit at `now`. Re-validate each candidate at
+  // decision time -- the fresh key only moves toward the eviction end,
+  // so the walk still visits the ascending prefix of current keys --
+  // and fold its rate into the admission aggregates while its history
+  // is hot in cache.
   CollectVictimsValidatedInto(
       by_profit_, bytes_needed,
       [this, now, agg](Entry* e) {
@@ -103,77 +97,11 @@ void LncCache::SelectCandidates(uint64_t bytes_needed, Timestamp now,
       &candidate_scratch_);
 }
 
-double LncCache::ListProfit(Timestamp now) const {
-  double rate_cost_sum = 0.0;
-  double size_sum = 0.0;
-  for (const Entry* e : candidate_scratch_) {
-    const auto rate = Rate(e->history, now);
-    // Candidates are cached, so they carry at least one past reference;
-    // a missing rate can only mean the entry was inserted at `now`
-    // itself. Fall back to its e-profit contribution.
-    const double lambda = rate.has_value()
-                              ? *rate
-                              : 1.0 / static_cast<double>(
-                                          e->desc.result_bytes);
-    rate_cost_sum += lambda * static_cast<double>(e->desc.cost);
-    size_sum += static_cast<double>(e->desc.result_bytes);
-  }
-  assert(size_sum > 0.0);
-  return rate_cost_sum / size_sum;
-}
-
-double LncCache::ListEstimatedProfit() const {
-  double cost_sum = 0.0;
-  double size_sum = 0.0;
-  for (const Entry* e : candidate_scratch_) {
-    cost_sum += static_cast<double>(e->desc.cost);
-    size_sum += static_cast<double>(e->desc.result_bytes);
-  }
-  assert(size_sum > 0.0);
-  return cost_sum / size_sum;
-}
-
-void LncCache::RekeyEntry(Entry* entry, Timestamp now, bool already_indexed) {
-  const uint32_t bucket = static_cast<uint32_t>(entry->history.size());
-  const double profit = EntryProfit(*entry, now);
-  if (already_indexed) {
-    by_profit_.Rekey(entry, bucket, profit, now);
-  } else {
-    by_profit_.Add(entry, bucket, profit, now);
-  }
-}
-
-void LncCache::RefreshSomeProfits(Timestamp now) {
-  if (refresh_queue_.empty() || opts_.sweep_interval == 0) return;
-  const size_t batch =
-      (entry_count() + opts_.sweep_interval - 1) / opts_.sweep_interval;
-  for (size_t i = 0; i < batch && !refresh_queue_.empty(); ++i) {
-    Entry* e = refresh_queue_.front();
-    RekeyEntry(e, now, /*already_indexed=*/true);
-    refresh_queue_.MoveToBack(e);
-  }
-}
-
-void LncCache::RefreshSomeLazy(Timestamp now) {
-  for (uint32_t i = 0;
-       i < opts_.lazy_refresh_per_miss && !refresh_queue_.empty(); ++i) {
-    Entry* e = refresh_queue_.front();
-    by_profit_.Refresh(e, static_cast<uint32_t>(e->history.size()),
-                       EntryProfit(*e, now), now);
-    refresh_queue_.MoveToBack(e);
-  }
-}
-
 void LncCache::OnHit(Entry* entry, Timestamp now) {
-  if (opts_.eager_profits) {
-    RekeyEntry(entry, now, /*already_indexed=*/true);
-  } else {
-    // Lazy: re-evaluate only the touched entry; the quantized level
-    // usually has not moved, so most hits skip the tree re-key.
-    by_profit_.Refresh(entry, static_cast<uint32_t>(entry->history.size()),
-                       EntryProfit(*entry, now), now);
-  }
-  refresh_queue_.MoveToBack(entry);
+  // Re-evaluate only the touched entry; the quantized level usually has
+  // not moved, so most hits skip the tree re-key.
+  by_profit_.Refresh(entry, static_cast<uint32_t>(entry->history.size()),
+                     EntryProfit(*entry, now), now);
   MaybeSweep(now);
 }
 
@@ -182,12 +110,6 @@ void LncCache::OnMiss(const QueryDescriptor& d, Timestamp now) {
   if (d.result_bytes > capacity_bytes() || d.result_bytes == 0) {
     CountTooLargeRejection();
     return;
-  }
-  if (!opts_.eager_profits) {
-    // Miss-time amortized aging: idle entries' keys age within
-    // ceil(n / lazy_refresh_per_miss) misses, so long-unreferenced sets
-    // sink toward the eviction end without any hit paying for it.
-    RefreshSomeLazy(now);
   }
 
   // Reconstruct the reference information for RS_i: retained history if
@@ -218,21 +140,17 @@ void LncCache::OnMiss(const QueryDescriptor& d, Timestamp now) {
   if (opts_.admission) {
     // LNC-A (Figure 1): with reference information compare profits,
     // otherwise compare estimated profits. The candidates' rates were
-    // already estimated during the selection walk (lazy mode) -- the
-    // aggregates reuse them; the eager reference path re-walks.
+    // already estimated during the selection walk -- the aggregates
+    // reuse them.
     const auto rate = Rate(history, now);
     if (rate.has_value()) {
       const double profit_rs = *rate * static_cast<double>(d.cost) /
                                static_cast<double>(d.result_bytes);
-      const double list_profit =
-          opts_.eager_profits ? ListProfit(now) : agg.profit();
-      admit = profit_rs > list_profit;
+      admit = profit_rs > agg.profit();
     } else {
       const double e_profit_rs = static_cast<double>(d.cost) /
                                  static_cast<double>(d.result_bytes);
-      const double list_e_profit =
-          opts_.eager_profits ? ListEstimatedProfit() : agg.estimated_profit();
-      admit = e_profit_rs > list_e_profit;
+      admit = e_profit_rs > agg.estimated_profit();
     }
   }
 
@@ -258,13 +176,12 @@ void LncCache::OnMiss(const QueryDescriptor& d, Timestamp now) {
 }
 
 void LncCache::OnInsert(Entry* entry, Timestamp now) {
-  RekeyEntry(entry, now, /*already_indexed=*/false);
-  refresh_queue_.PushBack(entry);
+  by_profit_.Add(entry, static_cast<uint32_t>(entry->history.size()),
+                 EntryProfit(*entry, now), now);
 }
 
 void LncCache::OnEvict(Entry* entry) {
   by_profit_.Remove(entry);
-  refresh_queue_.Remove(entry);
   RetainEntryInfo(*entry);
 }
 
@@ -277,12 +194,11 @@ Status LncCache::CheckPolicyIndex() const {
       return Status::Internal("lnc index bucket out of date");
     }
     bytes += e->desc.result_bytes;
-    if (opts_.eager_profits) continue;
-    // Lazy staleness bounds: the evaluation stamp lies between the
-    // entry's last reference and the cache's latest reference ...
+    // Staleness bounds: the evaluation stamp lies between the entry's
+    // last reference and the cache's latest reference ...
     if (e->history.empty() || e->vkey_eval < e->history.last() ||
         e->vkey_eval > now) {
-      return Status::Internal("lnc lazy key evaluation stamp out of bounds");
+      return Status::Internal("lnc key evaluation stamp out of bounds");
     }
     if (opts_.aging_period == 0) {
       // ... the stored key is exactly the entry's quantized profit at
@@ -291,21 +207,17 @@ Status LncCache::CheckPolicyIndex() const {
       const double at_eval =
           by_profit_.QuantizeKey(EntryProfit(*e, e->vkey_eval));
       if (item.key.primary != at_eval) {
-        return Status::Internal("lnc lazy key does not match eval-time "
-                                "profit");
+        return Status::Internal("lnc key does not match eval-time profit");
       }
       // ... and profits only decay, so the stored key is an upper bound
       // of the entry's current quantized profit (the property the
       // revalidated victim walk relies on).
       const double at_now = by_profit_.QuantizeKey(EntryProfit(*e, now));
       if (item.key.primary < at_now) {
-        return Status::Internal("lnc lazy key below current profit "
+        return Status::Internal("lnc key below current profit "
                                 "(decay violated)");
       }
     }
-  }
-  if (refresh_queue_.size() != entry_count()) {
-    return Status::Internal("lnc refresh queue entry count mismatch");
   }
   return CheckIndexAccounting("lnc index", by_profit_.size(), bytes);
 }
@@ -329,19 +241,11 @@ void LncCache::MaybeSweep(Timestamp now) {
   if (opts_.aging_period > 0 && now >= aging_tick_ + opts_.aging_period) {
     aging_tick_ = now;
   }
-  if (opts_.eager_profits) {
-    // Eager rate aging: refresh a bounded batch of index keys per
-    // reference, so sets that stopped being referenced sink toward the
-    // eviction end without any reference paying for a full-index walk.
-    RefreshSomeProfits(now);
-  }
   if (++references_since_sweep_ < opts_.sweep_interval) return;
   references_since_sweep_ = 0;
   if (!opts_.retain_reference_info) return;
   if (retained_.empty()) return;
-  const double min_profit = opts_.eager_profits
-                                ? MinCachedProfit(now)
-                                : ApproxMinCachedProfit(now);
+  const double min_profit = ApproxMinCachedProfit(now);
   if (std::isinf(min_profit)) return;
   retained_.SweepBelowProfit(min_profit, now);
 }

@@ -21,32 +21,31 @@
 // of evicted and admission-rejected sets are retained, and dropped when
 // their profit falls below the least profit among all cached sets.
 //
-// Profit maintenance -- lazy by default. Victim order is a
-// LazyOrderedVictimIndex keyed by (reference-count bucket, log-quantized
-// profit). A reference re-evaluates only the touched entry, and even
-// that usually skips the tree re-key because the quantized level did
-// not move. Untouched entries keep the profit of their last evaluation;
-// since EstimateRate profits only *decay* between references, every
-// stored key is an upper bound of the entry's current profit, and the
-// victim-selection walk re-validates candidates at decision time: it
-// recomputes each candidate's profit at `now` and re-keys it in place
-// (the fresh key can only move toward the eviction end, so the walk
-// order remains the ascending prefix of current keys -- see
-// CollectVictimsValidatedInto). A reference therefore costs O(1)
-// amortized index work instead of the former ceil(n / sweep_interval)
-// re-keys, and the O(n) MinCachedProfit sweep walk is replaced by a
-// bounded read off the revalidated front of the index.
+// Profit maintenance is lazy. Victim order is a LazyOrderedVictimIndex
+// keyed by (reference-count bucket, log-quantized profit). A hit
+// re-evaluates only the touched entry, and even that usually skips the
+// tree re-key because the quantized level did not move. Untouched
+// entries keep the profit of their last evaluation; since EstimateRate
+// profits only *decay* between references, every stored key is an
+// upper bound of the entry's current profit, and the victim-selection
+// walk on a miss re-validates candidates at decision time: it
+// recomputes each candidate's profit at `now`, re-keys it in place (the
+// fresh key can only move toward the eviction end, so the walk order
+// remains the ascending prefix of current keys -- see
+// CollectVictimsValidatedInto) and folds it into the admission sums.
+// The retained-info sweep reads a bounded, revalidated front of the
+// index (ApproxMinCachedProfit) instead of walking every entry.
 //
 // The cost of laziness is bounded, documented staleness: selection
 // ranks un-walked entries by their last-evaluated profit (an upper
-// bound) rather than the decision-time profit the eager implementation
-// approximated within its sweep_interval horizon, and the retained-info
-// sweep threshold becomes an upper bound of the true minimum cached
-// profit (so retained records are dropped at least as eagerly as the
-// paper's rule). The eager reference implementation is retained behind
-// LncOptions::eager_profits for differential tests and ablation; the
-// fig4/fig5 metrics of the two implementations agree within the
-// tolerance asserted by tests/sim/lazy_eager_sim_test.cc.
+// bound) rather than a decision-time profit, and the retained-info
+// sweep threshold is an upper bound of the true minimum cached profit
+// (so retained records are dropped at least as eagerly as the paper's
+// rule). The eager reference implementation, which re-ages every key
+// round-robin and sweeps by full walk, lives in the tests
+// (tests/support/eager_lnc_cache.h); the fig4/fig5 metrics of the two
+// agree within the tolerance asserted by
+// tests/sim/lazy_eager_sim_test.cc.
 
 #ifndef WATCHMAN_CACHE_LNC_CACHE_H_
 #define WATCHMAN_CACHE_LNC_CACHE_H_
@@ -74,9 +73,7 @@ struct LncOptions {
   /// Enables retained reference information (section 2.4).
   bool retain_reference_info = true;
 
-  /// Retained-info sweep cadence, in references. In the eager reference
-  /// mode it is additionally the rate-aging horizon: every entry's
-  /// profit key is refreshed within this many references.
+  /// Retained-info sweep cadence, in references.
   uint64_t sweep_interval = 64;
 
   /// Profit evaluation mode. In exact mode profits are evaluated with
@@ -86,34 +83,12 @@ struct LncOptions {
   /// variant); see the ablation bench.
   Duration aging_period = 0;
 
-  /// Eager reference mode: exact profit keys, re-keyed round-robin
-  /// (ceil(n / sweep_interval) entries per reference) with a full-walk
-  /// MinCachedProfit sweep -- the pre-lazy implementation, kept for
-  /// differential tests and ablation. Default off: lazy eviction-time
-  /// profit evaluation.
-  bool eager_profits = false;
-
   /// Log-quantization granularity of lazily stored profit keys: levels
   /// per profit doubling. Two profits within a ratio of
   /// 2^(1/quant_steps) (~4.4% at the default 16) share a level and a
   /// re-evaluation between them skips the tree re-key. 0 = exact keys
-  /// (every changed profit re-keys). Ignored in eager mode, which is
-  /// always exact.
+  /// (every changed profit re-keys).
   uint32_t profit_quant_steps = 16;
-
-  /// Lazy mode: number of round-robin key re-evaluations per *miss*
-  /// (the pre-lazy implementation paid ceil(n / sweep_interval) per
-  /// *reference*). 0 (default) disables miss-time aging: victim order
-  /// ranks every un-walked entry by its profit at its own last
-  /// reference -- a mutually consistent metric that tracks the eager
-  /// implementation's figures closely (and systematically improves
-  /// LNC-R at mid cache sizes; see tests/sim/lazy_eager_sim_test.cc).
-  /// A non-zero batch bounds key staleness to ceil(n / batch) misses,
-  /// guarding against adversarial once-hot-never-again sets pinning
-  /// cache space, at the cost of comparing keys evaluated at mixed
-  /// times (on TPC-D that costs up to ~0.04 CSR vs eager at large
-  /// caches).
-  uint32_t lazy_refresh_per_miss = 0;
 };
 
 /// The integrated LNC cache (LNC-R when admission is disabled, LNC-RA
@@ -129,13 +104,13 @@ class LncCache : public QueryCache {
   /// the fallback when no rate estimate exists yet.
   double EntryProfit(const Entry& entry, Timestamp now) const;
 
-  /// Least profit among all cached sets at `now`, by exact full walk;
-  /// +infinity for an empty cache (nothing constrains the retained
-  /// store then). The eager sweep threshold; tests use it as the ground
-  /// truth for the lazy approximation below.
+  /// Least profit among all cached sets at `now`, by exact O(n) full
+  /// walk; +infinity for an empty cache. Not used by the cache itself:
+  /// it is the exact ground truth the tests hold
+  /// ApproxMinCachedProfit() against.
   double MinCachedProfit(Timestamp now);
 
-  /// Lazy-mode sweep threshold: the minimum profit over a bounded
+  /// Retained-info sweep threshold: the minimum profit over a bounded
   /// prefix (kMinProfitProbe entries) of the victim index, re-evaluated
   /// at `now` and re-keyed in place (revalidated front). Always within
   /// [MinCachedProfit(now), smallest re-evaluated prefix profit]: an
@@ -193,33 +168,12 @@ class LncCache : public QueryCache {
   /// The LNC-R candidate-selection function (Figure 1): a minimal list
   /// of victims in (reference-count bucket, ascending profit) order
   /// whose sizes sum to at least `bytes_needed`, collected into the
-  /// reusable scratch vector. In lazy mode the walk revalidates each
-  /// candidate's profit at `now` (re-keying stale entries in place) and
-  /// accumulates the rate/cost/size sums the admission test needs, so
-  /// each candidate's rate is estimated exactly once per miss.
+  /// reusable scratch vector. The walk revalidates each candidate's
+  /// profit at `now` (re-keying stale entries in place) and accumulates
+  /// the rate/cost/size sums the admission test needs, so each
+  /// candidate's rate is estimated exactly once per miss.
   void SelectCandidates(uint64_t bytes_needed, Timestamp now,
                         CandidateAggregates* agg);
-
-  /// Aggregate profit of the scratch candidate list (eq. 5) by explicit
-  /// walk -- the eager reference path.
-  double ListProfit(Timestamp now) const;
-
-  /// Aggregate estimated profit of the scratch candidate list (eq. 8).
-  double ListEstimatedProfit() const;
-
-  /// (Re-)keys `entry` in the profit index with its profit at `now`
-  /// (eager mode: unconditional re-key).
-  void RekeyEntry(Entry* entry, Timestamp now, bool already_indexed);
-
-  /// Eager mode: re-keys the ceil(n / sweep_interval) longest-
-  /// unrefreshed entries with their profit at `now` (round-robin rate
-  /// aging).
-  void RefreshSomeProfits(Timestamp now);
-
-  /// Lazy mode: re-evaluates the `lazy_refresh_per_miss` longest-
-  /// unevaluated entries at `now` (miss-time amortized aging; most
-  /// re-evaluations skip the tree re-key via quantization).
-  void RefreshSomeLazy(Timestamp now);
 
   void RetainEntryInfo(const Entry& entry);
   void MaybeSweep(Timestamp now);
@@ -230,12 +184,8 @@ class LncCache : public QueryCache {
   /// Aging mode: the clock value profits are currently evaluated at.
   Timestamp aging_tick_ = 0;
   /// Victim order: (reference-count bucket, quantized profit at last
-  /// evaluation). Lazy by default; exact keys in eager mode.
+  /// evaluation).
   LazyVictimIndex by_profit_;
-  /// Round-robin aging order: front = evaluated longest ago. Eager
-  /// mode drains ceil(n / sweep_interval) per reference; lazy mode
-  /// drains lazy_refresh_per_miss per miss.
-  VictimList refresh_queue_;
   /// Reused candidate scratch: SelectCandidates fills it, OnMiss
   /// consumes it before the next miss. Steady-state misses do not
   /// allocate for candidate collection.

@@ -180,7 +180,7 @@ class OrderedVictimIndex {
 /// O(log n) tree re-key whenever bucket and level are unchanged -- on a
 /// steady hit stream nearly every re-evaluation is a stamp update plus
 /// one comparison. quant_steps == 0 stores the exact value (every
-/// changed value re-keys), which the eager reference mode uses.
+/// changed value re-keys).
 ///
 /// Because values only decay between evaluations, a stored level is an
 /// upper bound of the node's current level; the consumer's victim walk
@@ -198,10 +198,6 @@ class LazyOrderedVictimIndex {
   explicit LazyOrderedVictimIndex(uint32_t quant_steps = 0)
       : quant_steps_(quant_steps) {}
 
-  void set_quant_steps(uint32_t steps) {
-    assert(empty() && "cannot change quantization of a populated index");
-    quant_steps_ = steps;
-  }
   uint32_t quant_steps() const { return quant_steps_; }
 
   /// Largest ratio two values sharing a quantized level can have.
@@ -254,20 +250,11 @@ class LazyOrderedVictimIndex {
     return true;
   }
 
-  /// Unconditional re-key (the eager reference path: matches the
-  /// historical always-Update behaviour including seq reassignment on
-  /// equal keys).
-  void Rekey(Node* n, uint32_t bucket, double value, Timestamp eval_time) {
-    index_.Update(n, bucket, QuantizeKey(value), 0);
-    n->vkey_eval = eval_time;
-    ++rekeys_;
-  }
-
   void Remove(Node* n) { index_.Remove(n); }
 
  private:
   Base index_;
-  uint32_t quant_steps_;
+  const uint32_t quant_steps_;
   uint64_t rekeys_ = 0;
   uint64_t refreshes_skipped_ = 0;
 };

@@ -60,9 +60,6 @@ std::unique_ptr<QueryCache> MakeCache(const PolicyConfig& config,
       opts.admission = config.kind == PolicyKind::kLncRA;
       opts.retain_reference_info = config.retain_reference_info;
       opts.aging_period = config.aging_period;
-      opts.eager_profits = config.lnc_eager_profits;
-      opts.profit_quant_steps = config.lnc_profit_quant_steps;
-      opts.lazy_refresh_per_miss = config.lnc_lazy_refresh_per_miss;
       return std::make_unique<LncCache>(opts);
     }
     case PolicyKind::kInfinite:

@@ -35,17 +35,6 @@ struct PolicyConfig {
   bool retain_reference_info = true;
   /// LNC aging period (0 = exact decision-time profits).
   Duration aging_period = 0;
-  /// LNC profit maintenance: lazy eviction-time evaluation (default) or
-  /// the eager round-robin re-keying reference implementation (see
-  /// LncOptions::eager_profits).
-  bool lnc_eager_profits = false;
-  /// LNC lazy mode: log-quantization granularity of profit keys, in
-  /// levels per profit doubling (see LncOptions::profit_quant_steps).
-  uint32_t lnc_profit_quant_steps = 16;
-  /// LNC lazy mode: round-robin key re-evaluations per miss (see
-  /// LncOptions::lazy_refresh_per_miss; 0 = pure eviction-time
-  /// revalidation).
-  uint32_t lnc_lazy_refresh_per_miss = 0;
 };
 
 /// Human-readable name ("lru", "lru-2", "lnc-ra(k=4)", ...).

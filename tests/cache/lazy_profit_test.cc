@@ -1,8 +1,9 @@
-// Tests of lazy profit maintenance: the LazyOrderedVictimIndex
-// quantization machinery, the staleness invariants, the bounded
-// min-profit read that replaced the O(n) sweep walk, and differential
-// runs of the lazy implementation against the eager reference
-// implementation (LncOptions::eager_profits).
+// Tests of LncCache's lazy profit maintenance: the
+// LazyOrderedVictimIndex quantization machinery, the staleness
+// invariants, the bounded min-profit read that replaced the O(n) sweep
+// walk, and differential runs of the lazy implementation against a
+// brute-force model (exact) and against the eager reference
+// implementation in tests/support/eager_lnc_cache.h (aggregate).
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 
 #include "cache/lnc_cache.h"
 #include "cache/query_descriptor.h"
+#include "support/eager_lnc_cache.h"
 #include "util/hash.h"
 #include "util/random.h"
 
@@ -245,12 +247,13 @@ TEST(LazyLncTest, SweepSeesSameMinProfitAsFullWalkAfterEvictionWalks) {
 //    explicit Figure-1 admission, quantized stale keys with seq
 //    tie-breaks, the bounded front probe) that shares no code with the
 //    incremental tree index or the revalidating walk it checks;
-//  * in aggregate, against the eager reference implementation: lazy
-//    aging deliberately ranks un-walked entries by their last-evaluated
-//    profit, so *individual* victim choices can differ from eager's
-//    sweep-horizon ranking (both approximate the paper's decision-time
-//    ideal); the paper-level metrics must still agree tightly (here and
-//    in tests/sim/lazy_eager_sim_test.cc).
+//  * in aggregate, against the eager reference implementation
+//    (testsupport::EagerLncCache): lazy aging deliberately ranks
+//    un-walked entries by their last-evaluated profit, so *individual*
+//    victim choices can differ from eager's sweep-horizon ranking (both
+//    approximate the paper's decision-time ideal); the paper-level
+//    metrics must still agree tightly (here and in
+//    tests/sim/lazy_eager_sim_test.cc).
 
 /// Brute-force model of lazy LNC-R/RA. Keeps every cached set in a
 /// plain vector and sorts a snapshot on demand for victim selection;
@@ -272,7 +275,6 @@ class LazyLncModel {
       RecordRef(&rec->refs, now);
       // Hit path: re-evaluate only the touched entry.
       RefreshKey(rec, now);
-      QueueToBack(rec->id);
       MaybeSweep(now);
       return true;
     }
@@ -401,14 +403,6 @@ class LazyLncModel {
   }
 
   void OnMiss(const QueryDescriptor& d, Timestamp now) {
-    // Miss-time amortized aging: re-evaluate the longest-unevaluated
-    // entries round-robin, exactly as RefreshSomeLazy does.
-    for (uint32_t i = 0;
-         i < opts_.lazy_refresh_per_miss && !queue_.empty(); ++i) {
-      Rec* aged = FindCached(queue_.front());
-      RefreshKey(aged, now);
-      QueueToBack(aged->id);
-    }
     const std::string id(d.query_id());
     std::vector<Timestamp> refs;
     for (auto it = retained_.begin(); it != retained_.end(); ++it) {
@@ -468,7 +462,6 @@ class LazyLncModel {
                       static_cast<std::ptrdiff_t>(victims[v]));
         used_ -= rec.bytes;
         ++stats_.evictions;
-        QueueRemove(rec.id);
         if (opts_.retain_reference_info) {
           Retain(rec.id, rec.bytes, rec.cost, rec.refs);
         }
@@ -495,7 +488,6 @@ class LazyLncModel {
     rec.eval = now;
     used_ += rec.bytes;
     ++stats_.insertions;
-    queue_.push_back(rec.id);
     cached_.push_back(std::move(rec));
     if (opts_.retain_reference_info) {
       for (auto it = retained_.begin(); it != retained_.end(); ++it) {
@@ -525,23 +517,8 @@ class LazyLncModel {
     return nullptr;
   }
 
-  void QueueToBack(const std::string& id) {
-    QueueRemove(id);
-    queue_.push_back(id);
-  }
-
-  void QueueRemove(const std::string& id) {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (*it == id) {
-        queue_.erase(it);
-        return;
-      }
-    }
-  }
-
   LncOptions opts_;
   std::vector<Rec> cached_;
-  std::vector<std::string> queue_;  // aging order, front = oldest eval
   std::vector<Retained> retained_;
   CacheStats stats_;
   uint64_t used_ = 0;
@@ -554,7 +531,7 @@ struct ModelCase {
   uint64_t seed;
   uint32_t quant_steps;
   bool admission;
-  uint32_t refresh_per_miss = 0;
+  uint64_t capacity = 30000;  // bytes
 };
 
 class LazyModelDifferentialTest
@@ -562,9 +539,8 @@ class LazyModelDifferentialTest
 
 TEST_P(LazyModelDifferentialTest, MatchesBruteForceModelExactly) {
   const ModelCase param = GetParam();
-  LncOptions opts = Opts(30000, 4, param.admission, true);
+  LncOptions opts = Opts(param.capacity, 4, param.admission, true);
   opts.profit_quant_steps = param.quant_steps;
-  opts.lazy_refresh_per_miss = param.refresh_per_miss;
   LncCache cache(opts);
   LazyLncModel model(opts);
 
@@ -604,11 +580,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(ModelCase{1, 16, true}, ModelCase{2, 16, true},
                     ModelCase{3, 16, false}, ModelCase{5, 0, true},
                     ModelCase{8, 0, false}, ModelCase{13, 4, true},
-                    ModelCase{21, 64, true}, ModelCase{34, 16, true},
-                    // Miss-time amortized aging on (queue round-robin).
-                    ModelCase{55, 16, true, 2},
-                    ModelCase{89, 16, false, 1},
-                    ModelCase{144, 0, true, 4}));
+                    ModelCase{21, 64, true}, ModelCase{34, 16, true}));
 
 TEST(LazyEagerAggregateTest, AdversarialWorkloadStaysWithinTolerance) {
   // Near-equal profits are where quantization and staleness can flip
@@ -616,11 +588,9 @@ TEST(LazyEagerAggregateTest, AdversarialWorkloadStaysWithinTolerance) {
   // agree tightly. Workload: narrow cost range, sizes alike, heavy
   // churn.
   for (uint64_t seed : {11u, 22u, 33u}) {
-    LncOptions lazy_opts = Opts(20000, 4, true, true);
-    LncOptions eager_opts = lazy_opts;
-    eager_opts.eager_profits = true;
-    LncCache lazy(lazy_opts);
-    LncCache eager(eager_opts);
+    const LncOptions opts = Opts(20000, 4, true, true);
+    LncCache lazy(opts);
+    testsupport::EagerLncCache eager(opts);
     Rng rng(seed);
     Timestamp now = 0;
     for (int i = 0; i < 30000; ++i) {
@@ -633,33 +603,13 @@ TEST(LazyEagerAggregateTest, AdversarialWorkloadStaysWithinTolerance) {
       eager.Reference(d, now);
     }
     EXPECT_TRUE(lazy.CheckInvariants().ok());
+    EXPECT_TRUE(eager.CheckInvariants().ok());
     EXPECT_NEAR(lazy.stats().cost_savings_ratio(),
                 eager.stats().cost_savings_ratio(), 0.02)
         << "seed " << seed;
     EXPECT_NEAR(lazy.stats().hit_ratio(), eager.stats().hit_ratio(), 0.02)
         << "seed " << seed;
   }
-}
-
-TEST(LazyEagerTest, EagerModeMatchesItselfUnderQuantKnob) {
-  // The quantization knob is ignored in eager mode (eager is always
-  // exact): two eager caches with different quant settings agree.
-  LncOptions a = Opts(10000);
-  a.eager_profits = true;
-  a.profit_quant_steps = 4;
-  LncOptions b = a;
-  b.profit_quant_steps = 64;
-  LncCache ca(a), cb(b);
-  Rng rng(5);
-  Timestamp now = 0;
-  for (int i = 0; i < 3000; ++i) {
-    now += 1 + rng.NextBounded(kSecond);
-    const uint64_t q = rng.NextBounded(97);
-    const QueryDescriptor d =
-        Desc("q" + std::to_string(q), 60 + q % 100, 10 + (q * q) % 5000);
-    ASSERT_EQ(ca.Reference(d, now), cb.Reference(d, now)) << i;
-  }
-  EXPECT_EQ(ca.stats().evictions, cb.stats().evictions);
 }
 
 }  // namespace

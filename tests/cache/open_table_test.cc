@@ -113,7 +113,9 @@ TEST(SignatureTableDifferentialTest, MatchesBucketMapSemantics) {
       Node* found =
           table.Find(node->sig, [&](const Node* n) { return n == node; });
       EXPECT_EQ(found != nullptr, in_model);
-      if (found != nullptr) EXPECT_EQ(found, node);
+      if (found != nullptr) {
+        EXPECT_EQ(found, node);
+      }
     }
     EXPECT_EQ(table.size(), model_size);
     if (op % 500 == 0) {

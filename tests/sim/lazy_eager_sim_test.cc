@@ -1,7 +1,8 @@
 // Differential of the lazy LNC implementation against the eager
-// reference implementation on the fig4/fig5 workload: the paper-level
-// metrics (cost savings ratio, hit ratio) must agree within a tight
-// documented tolerance across cache sizes, for both LNC-R and LNC-RA.
+// reference implementation (tests/support/eager_lnc_cache.h, the test
+// oracle) on the fig4/fig5 workload: the paper-level metrics (cost
+// savings ratio, hit ratio) must agree within a tight documented
+// tolerance across cache sizes, for both LNC-R and LNC-RA.
 //
 // Individual victim choices are allowed to differ -- lazy aging ranks
 // un-walked entries by their last-evaluated profit while the eager
@@ -15,8 +16,11 @@
 
 #include <cstdio>
 
+#include "cache/lnc_cache.h"
+#include "cache/query_descriptor.h"
 #include "sim/simulator.h"
 #include "storage/schemas.h"
+#include "support/eager_lnc_cache.h"
 #include "workload/tpcd_workload.h"
 
 namespace watchman {
@@ -64,39 +68,43 @@ TEST_P(LazyEagerSimTest, Fig4Fig5MetricsMatchEagerWithinTolerance) {
   PolicyConfig lazy;
   lazy.kind = kind;
   lazy.k = 4;
-  PolicyConfig eager = lazy;
-  eager.lnc_eager_profits = true;
+  const RunResult lazy_result = RunSimulation(setup.trace, lazy, capacity);
 
-  const RunResult lazy_result =
-      RunSimulation(setup.trace, lazy, capacity);
-  const RunResult eager_result =
-      RunSimulation(setup.trace, eager, capacity);
+  LncOptions eager_opts;
+  eager_opts.capacity_bytes = capacity;
+  eager_opts.k = 4;
+  eager_opts.admission = kind == PolicyKind::kLncRA;
+  testsupport::EagerLncCache eager(eager_opts);
+  for (const QueryEvent& e : setup.trace) {
+    eager.Reference(QueryDescriptor::FromEvent(e), e.timestamp);
+  }
+  ASSERT_TRUE(eager.CheckInvariants().ok());
+  const double eager_csr = eager.stats().cost_savings_ratio();
+  const double eager_hr = eager.stats().hit_ratio();
 
   std::printf("  %-12s %4.1f%%: CSR lazy %.4f eager %.4f (d=%+.4f)  "
               "HR lazy %.4f eager %.4f (d=%+.4f)\n",
               lazy_result.policy_name.c_str(), cache_percent,
-              lazy_result.cost_savings_ratio,
-              eager_result.cost_savings_ratio,
-              lazy_result.cost_savings_ratio -
-                  eager_result.cost_savings_ratio,
-              lazy_result.hit_ratio, eager_result.hit_ratio,
-              lazy_result.hit_ratio - eager_result.hit_ratio);
+              lazy_result.cost_savings_ratio, eager_csr,
+              lazy_result.cost_savings_ratio - eager_csr,
+              lazy_result.hit_ratio, eager_hr,
+              lazy_result.hit_ratio - eager_hr);
 
   const double improvement_tolerance = kind == PolicyKind::kLncRA
                                            ? kImprovementToleranceRa
                                            : kImprovementToleranceR;
   // Figure 4 metric: cost savings ratio.
-  EXPECT_GE(lazy_result.cost_savings_ratio,
-            eager_result.cost_savings_ratio - kDegradationTolerance);
-  EXPECT_LE(lazy_result.cost_savings_ratio,
-            eager_result.cost_savings_ratio + improvement_tolerance);
+  EXPECT_GE(lazy_result.cost_savings_ratio, eager_csr - kDegradationTolerance);
+  EXPECT_LE(lazy_result.cost_savings_ratio, eager_csr + improvement_tolerance);
   // Figure 5 metric: hit ratio.
-  EXPECT_GE(lazy_result.hit_ratio,
-            eager_result.hit_ratio - kDegradationTolerance);
-  EXPECT_LE(lazy_result.hit_ratio,
-            eager_result.hit_ratio + improvement_tolerance);
+  EXPECT_GE(lazy_result.hit_ratio, eager_hr - kDegradationTolerance);
+  EXPECT_LE(lazy_result.hit_ratio, eager_hr + improvement_tolerance);
   // Sanity: both runs actually exercised replacement.
-  EXPECT_GT(lazy_result.stats.evictions + lazy_result.stats.admission_rejections, 0u);
+  EXPECT_GT(
+      lazy_result.stats.evictions + lazy_result.stats.admission_rejections,
+      0u);
+  EXPECT_GT(eager.stats().evictions + eager.stats().admission_rejections,
+            0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
