@@ -18,7 +18,8 @@
 // --capacity accepts plain bytes or k/m/g suffixes. --policy accepts
 // everything ParsePolicy does. The daemon serves on one epoll event
 // loop, which the startup line names ("..., epoll backend)").
-// --no-inline disables the IO-thread inline fast path for cheap ops.
+// --no-inline disables the IO-thread inline fast path (PING/GET/STATS,
+// and EXECUTE, since the daemon's facade runs MissFillExecutor).
 // --compact-idle runs a metadata compaction pass after the daemon has
 // been idle that many seconds (0 = never). --io-timeout closes
 // connections stuck mid-frame / mid-flush with no progress for MS

@@ -22,9 +22,10 @@ namespace watchman {
 namespace {
 
 /// The miss-fill the EXECUTE handler staged for the facade executor
-/// running on this worker thread. Single-flight runs the executor on
-/// the leader's thread, so the leader always sees its own fill;
-/// deduplicated followers share the leader's result, exactly like
+/// running on this thread -- the IO thread when the EXECUTE was
+/// dispatched inline, a worker otherwise. Single-flight runs the
+/// executor on the leader's thread, so the leader always sees its own
+/// fill; deduplicated followers share the leader's result, exactly like
 /// concurrent local callers.
 struct FillContext {
   const WireRequest* request = nullptr;
@@ -32,6 +33,33 @@ struct FillContext {
 };
 
 thread_local FillContext* t_fill = nullptr;
+
+/// MissFillExecutor's body. A named function, not a lambda, so the
+/// server can recognize a facade built with MissFillExecutor() by the
+/// executor's target (fill mode: EXECUTE never blocks, see CanInline).
+StatusOr<Watchman::ExecutionResult> ServeMissFill(
+    const std::string& query_text) {
+  FillContext* fill = t_fill;
+  if (fill == nullptr || fill->request == nullptr) {
+    return Status::NotFound("cache miss and no miss-fill attached: " +
+                            query_text);
+  }
+  fill->consumed = true;
+  Watchman::ExecutionResult result;
+  result.payload = fill->request->fill_payload;
+  result.cost = fill->request->fill_cost;
+  result.relations = fill->request->fill_relations;
+  return result;
+}
+
+/// True when `executor` is exactly MissFillExecutor(). Anything else --
+/// a wrapper around it included -- may block, so it counts as executor
+/// mode.
+bool IsMissFillExecutor(const Watchman::Executor& executor) {
+  using FnPtr = decltype(&ServeMissFill);
+  const FnPtr* target = executor.target<FnPtr>();
+  return target != nullptr && *target == &ServeMissFill;
+}
 
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -47,6 +75,7 @@ constexpr size_t kMaxAdminRequestBytes = 16 * 1024;
 WatchmanServer::WatchmanServer(Watchman* cache, Options options)
     : cache_(cache),
       options_(std::move(options)),
+      fill_mode_(IsMissFillExecutor(cache->executor())),
       admission_(options_.admission) {
   BuildMetricsRegistry();
 }
@@ -54,20 +83,7 @@ WatchmanServer::WatchmanServer(Watchman* cache, Options options)
 WatchmanServer::~WatchmanServer() { Stop(); }
 
 Watchman::Executor WatchmanServer::MissFillExecutor() {
-  return [](const std::string& query_text)
-             -> StatusOr<Watchman::ExecutionResult> {
-    FillContext* fill = t_fill;
-    if (fill == nullptr || fill->request == nullptr) {
-      return Status::NotFound("cache miss and no miss-fill attached: " +
-                              query_text);
-    }
-    fill->consumed = true;
-    Watchman::ExecutionResult result;
-    result.payload = fill->request->fill_payload;
-    result.cost = fill->request->fill_cost;
-    result.relations = fill->request->fill_relations;
-    return result;
-  };
+  return Watchman::Executor(&ServeMissFill);
 }
 
 int64_t WatchmanServer::NowMs() const {
@@ -535,16 +551,20 @@ bool WatchmanServer::CanInline(const std::shared_ptr<Connection>& conn,
   // Peek the claimed opcode (prologue byte 1); a frame too short to
   // carry one takes the worker path and errors there.
   if (body.size() < 2) return false;
+  // A fill-mode EXECUTE is a payload copy plus admission, cheaper than
+  // the worker hand-off; an executor-mode EXECUTE may run a warehouse
+  // query and must never block the loop.
   const uint8_t raw_op = static_cast<uint8_t>(body[1]);
   if (raw_op != static_cast<uint8_t>(OpCode::kPing) &&
       raw_op != static_cast<uint8_t>(OpCode::kGet) &&
-      raw_op != static_cast<uint8_t>(OpCode::kStats)) {
+      raw_op != static_cast<uint8_t>(OpCode::kStats) &&
+      !(fill_mode_ && raw_op == static_cast<uint8_t>(OpCode::kExecute))) {
     return false;
   }
   // Starvation guards: a bounded burst per tick, never ahead of this
   // connection's queued frames (response order), never while any
-  // connection has queued work (a waiting EXECUTE is served first --
-  // subsequent cheap frames queue FIFO behind it).
+  // connection has queued work (a waiting frame is served first --
+  // subsequent inline-eligible frames queue FIFO behind it).
   if (inline_budget_used_ >= options_.max_inline_burst) return false;
   if (conn->inflight.load(std::memory_order_acquire) != 0) return false;
   return ready_depth_.load(std::memory_order_acquire) == 0;

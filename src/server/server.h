@@ -3,15 +3,17 @@
 //
 // Architecture (event loop + worker pool): one IO thread owns the
 // listen socket and every connection socket. It accepts, reads into
-// per-connection buffers, extracts complete frames and pushes them onto
-// a ready-queue that a fixed pool of worker threads consumes; workers
-// decode, dispatch into the (thread-safe) Watchman facade, and append
-// the encoded response to the connection's output buffer -- attempting
-// a direct non-blocking send, with the IO thread resuming partial
-// writes. Idle connections therefore cost zero threads, many
-// connections multiplex over the fixed pool, and responses to one
-// connection may complete out of order (the v3 request id lets clients
-// re-correlate).
+// per-connection buffers and extracts complete frames. PING/GET/STATS,
+// and EXECUTE when the facade runs MissFillExecutor(), are answered on
+// the IO thread itself (inline fast path below); every other frame is
+// pushed onto a ready-queue that a fixed pool of worker threads
+// consumes. Workers decode, dispatch into the (thread-safe) Watchman
+// facade, and append the encoded response to the connection's output
+// buffer -- attempting a direct non-blocking send, with the IO thread
+// resuming partial writes. Idle connections therefore cost zero
+// threads, many connections multiplex over the fixed pool, and
+// responses to one connection may complete out of order (the v3
+// request id lets clients re-correlate).
 //
 // Event loop: the IO thread runs one level-triggered epoll loop over
 // the listen sockets, a wake eventfd and every connection. Workers
@@ -19,14 +21,17 @@
 // direct non-blocking send, and flag the connection dirty when the IO
 // thread must resume a partial write or run the close path.
 //
-// Inline fast path: when a parsed frame is a cheap op (PING, GET,
-// STATS), the connection has no frames in flight (response ordering)
-// and the ready-queue is empty (a queued EXECUTE is never delayed), the
-// IO thread dispatches it inline and appends the response to the
-// out-buffer directly -- a blocking client's RTT skips the
-// worker-queue hop entirely. A per-tick burst budget
-// (Options::max_inline_burst) bounds how long the loop can stay in
-// inline mode so a PING flood cannot starve event processing.
+// Inline fast path: when a parsed frame is PING/GET/STATS, or EXECUTE
+// when the facade runs MissFillExecutor(), the connection has no frames
+// in flight (response ordering) and the ready-queue is empty (queued
+// work is never delayed), the IO thread dispatches it inline and
+// appends the response to the out-buffer directly -- a blocking
+// client's RTT skips the worker-queue hop entirely. A per-tick burst
+// budget (Options::max_inline_burst) bounds how long the loop can stay
+// in inline mode so a PING flood cannot starve event processing. What
+// still takes the worker path: INVALIDATE, INVALIDATE_RELATION and
+// COMPACT, every frame that fails a guard, and EXECUTE against any
+// other executor (a warehouse query must never block the loop).
 //
 // Allocation discipline: frame bodies and connection in/out buffers
 // are recycled through a FramePool, and the ready-queue is a ring
@@ -71,10 +76,15 @@
 // EXECUTE op may carry the result the *client* computed for a miss.
 // Construct the facade with MissFillExecutor() and the server routes
 // that client-supplied fill through the facade's normal executor path
-// (admission, single-flight, coherence epochs included). An embedder
-// that does own a warehouse can instead construct the facade with a
-// real executor; fills are then ignored by that executor and EXECUTE
-// without a fill executes server-side.
+// (admission, single-flight, coherence epochs included). Such a fill
+// is a payload copy plus admission, so the server recognizes this
+// executor at construction (fill mode) and answers EXECUTE on the IO
+// thread like PING/GET/STATS. An embedder that does own a warehouse
+// can instead construct the facade with a real executor (executor
+// mode); fills are then ignored by that executor, EXECUTE without a
+// fill executes server-side, and EXECUTE always takes the worker path.
+// Any executor other than MissFillExecutor() itself -- a wrapper around
+// it included -- counts as executor mode.
 
 #ifndef WATCHMAN_SERVER_SERVER_H_
 #define WATCHMAN_SERVER_SERVER_H_
@@ -149,12 +159,14 @@ class WatchmanServer {
     /// Per-connection cap on frames enqueued but not yet answered;
     /// beyond it the connection's reads pause until workers catch up.
     size_t max_inflight_frames = 4096;
-    /// Dispatch cheap ops (PING/GET/STATS) inline on the IO thread when
-    /// the connection has nothing in flight and the ready-queue is
-    /// empty, skipping the worker hop.
+    /// Dispatch PING/GET/STATS, and EXECUTE when the facade runs
+    /// MissFillExecutor(), inline on the IO thread when the connection
+    /// has nothing in flight and the ready-queue is empty, skipping the
+    /// worker hop.
     bool inline_dispatch = true;
-    /// Inline dispatches allowed per event-loop tick; beyond it frames
-    /// take the worker path until the next tick (starvation guard).
+    /// Inline dispatches (PING/GET/STATS, and fill-mode EXECUTE) allowed
+    /// per event-loop tick; beyond it frames take the worker path until
+    /// the next tick (starvation guard).
     uint32_t max_inline_burst = 128;
     /// When positive, run Watchman::CompactMetadata() after this many
     /// milliseconds with no ready work, no inflight frames and no
@@ -294,7 +306,8 @@ class WatchmanServer {
   /// An executor that serves the client-supplied miss-fill attached to
   /// the EXECUTE request being handled on this thread, and fails with
   /// NotFound when the request carried none. Pass to the Watchman
-  /// constructor when the daemon itself has no warehouse.
+  /// constructor when the daemon itself has no warehouse; a server over
+  /// such a facade answers EXECUTE inline on the IO thread.
   static Watchman::Executor MissFillExecutor();
 
  private:
@@ -448,6 +461,9 @@ class WatchmanServer {
 
   Watchman* cache_;
   Options options_;
+  /// The facade runs MissFillExecutor() (fixed at construction): every
+  /// EXECUTE is a payload copy plus admission and may run inline.
+  const bool fill_mode_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;

@@ -216,6 +216,8 @@ class Watchman {
   const PayloadStore& payload_store() const { return *payloads_; }
   const ShardedQueryCache& cache() const { return *cache_; }
   const FacadeMetrics& facade_metrics() const { return metrics_; }
+  /// The warehouse executor this facade was built with.
+  const Executor& executor() const { return executor_; }
   /// The payload-store breaker, for observability (state/trips/rejects).
   const CircuitBreaker& store_breaker() const { return store_breaker_; }
   /// Breaker state at this instant: 0 closed, 1 open, 2 half-open.

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <limits>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -534,6 +535,17 @@ struct ModelCase {
   uint64_t capacity = 30000;  // bytes
 };
 
+/// "seed1_q16_adm": the case's test-name suffix and printout. Without
+/// PrintTo gtest prints the struct as a byte dump that includes its
+/// uninitialized padding, and the ctest names built from that printout
+/// change between builds.
+std::string ModelCaseName(const ModelCase& c) {
+  return "seed" + std::to_string(c.seed) + "_q" +
+         std::to_string(c.quant_steps) + (c.admission ? "_adm" : "_noadm");
+}
+
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << ModelCaseName(c); }
+
 class LazyModelDifferentialTest
     : public testing::TestWithParam<ModelCase> {};
 
@@ -580,7 +592,10 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(ModelCase{1, 16, true}, ModelCase{2, 16, true},
                     ModelCase{3, 16, false}, ModelCase{5, 0, true},
                     ModelCase{8, 0, false}, ModelCase{13, 4, true},
-                    ModelCase{21, 64, true}, ModelCase{34, 16, true}));
+                    ModelCase{21, 64, true}, ModelCase{34, 16, true}),
+    [](const testing::TestParamInfo<ModelCase>& info) {
+      return ModelCaseName(info.param);
+    });
 
 TEST(LazyEagerAggregateTest, AdversarialWorkloadStaysWithinTolerance) {
   // Near-equal profits are where quantization and staleness can flip

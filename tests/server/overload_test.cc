@@ -197,9 +197,11 @@ TEST_P(OverloadTest, GlobalInflightBudgetShedsPipelinedBurst) {
   server_options.num_workers = 1;
   StartServer(server_options);
 
-  // EXECUTE is never inline-dispatched, so a pipelined burst must pass
-  // through the worker queue -- and the budget admits one frame at a
-  // time. Raw Start/Await is used so shed responses are observable.
+  // INVALIDATE is never inline-dispatched (inline frames finish
+  // synchronously and never count toward the budget), so a pipelined
+  // burst must pass through the worker queue -- and the budget admits
+  // one frame at a time. Raw Start/Await is used so shed responses are
+  // observable.
   MultiplexedClient::Options options;
   options.port = server_->port();
   auto client = MultiplexedClient::Connect(options);
@@ -208,8 +210,7 @@ TEST_P(OverloadTest, GlobalInflightBudgetShedsPipelinedBurst) {
   constexpr int kBurst = 100;
   std::vector<MultiplexedClient::Ticket> tickets;
   for (int i = 0; i < kBurst; ++i) {
-    auto ticket = (*client)->StartExecute("select " + std::to_string(i),
-                                          "fill", 10, {});
+    auto ticket = (*client)->StartInvalidate("select " + std::to_string(i));
     ASSERT_TRUE(ticket.ok());
     tickets.push_back(*ticket);
   }

@@ -13,8 +13,9 @@
 //    exercising FramePool recycling end to end.
 //
 // EXECUTE is not measured: its facade API returns the payload by value
-// (a per-hit string), which is fine off the worker pool but not
-// allocation-free by contract.
+// (a per-call string) and a fill copies the payload into the store, so
+// it is not allocation-free by contract -- on the IO thread (fill mode,
+// where it runs inline) as much as on a worker.
 
 #include <gtest/gtest.h>
 

@@ -16,11 +16,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "server/client.h"
 #include "server/server.h"
 #include "support/event_loops.h"
+#include "util/mutex.h"
 #include "watchman/watchman.h"
 
 namespace watchman {
@@ -325,7 +327,8 @@ TEST_P(ServerIntegrationTest, BlockingCheapOpsTakeTheInlinePath) {
   // A blocking client on an otherwise idle server: every PING/GET/STATS
   // frame arrives alone with nothing in flight and an empty
   // ready-queue, so each one must be answered inline on the IO thread.
-  // EXECUTE is never inlined.
+  // The fixture's facade runs MissFillExecutor (fill mode), so a fill
+  // EXECUTE is inlined too.
   StartServer();
   auto client = MakeClient();
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(client->Ping().ok());
@@ -334,8 +337,149 @@ TEST_P(ServerIntegrationTest, BlockingCheapOpsTakeTheInlinePath) {
   ASSERT_TRUE(client->Stats().ok());
   EXPECT_EQ(server_->inline_dispatched(), 12u);
   ASSERT_TRUE(client->Execute("select 1", "fill", 10, {}).ok());
-  EXPECT_EQ(server_->inline_dispatched(), 12u);  // worker path
+  EXPECT_EQ(server_->inline_dispatched(), 13u);  // fill mode: inline
   EXPECT_EQ(server_->StatsSnapshot().requests_served, 13u);
+}
+
+TEST_P(ServerIntegrationTest, ExecutorModeExecuteStaysOnWorkers) {
+  // A facade with a real executor (an embedder's warehouse) may block
+  // in EXECUTE, so EXECUTE must never run on the IO thread -- whatever
+  // the other inline guards say. The clock records the thread of every
+  // facade reference: an inline GET's reference names the IO thread.
+  Mutex thread_mu;
+  std::thread::id executor_thread;
+  std::thread::id clock_thread;
+  std::atomic<int> executions{0};
+  Watchman::Executor counting = CountingExecutor(&executions);
+  Watchman::Options options;
+  options.capacity_bytes = 8 << 20;
+  Timestamp ticks = 0;
+  options.clock = [&] {
+    MutexLock lock(thread_mu);
+    clock_thread = std::this_thread::get_id();
+    return ++ticks;
+  };
+  Watchman::Executor recording = [&](const std::string& text) {
+    {
+      MutexLock lock(thread_mu);
+      executor_thread = std::this_thread::get_id();
+    }
+    return counting(text);
+  };
+  Watchman cache(std::move(options), std::move(recording));
+  WatchmanServer server(&cache, BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  WatchmanClient::Options client_options;
+  client_options.port = server.port();
+  auto client = WatchmanClient::Connect(client_options);
+  ASSERT_TRUE(client.ok());
+
+  // The first frame on an idle server is inline: this GET miss's
+  // reference runs on the IO thread.
+  const std::string query = "select w from warehouse";
+  ASSERT_EQ((*client)->Get(query).status().code(), StatusCode::kNotFound);
+  ASSERT_EQ(server.inline_dispatched(), 1u);
+  std::thread::id io_thread;
+  {
+    MutexLock lock(thread_mu);
+    io_thread = clock_thread;
+  }
+  EXPECT_NE(io_thread, std::thread::id());
+
+  auto executed = (*client)->Execute(query);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_EQ(executed->payload, PayloadFor(query));
+  EXPECT_EQ(executions.load(), 1);
+  EXPECT_EQ(server.inline_dispatched(), 1u);  // worker path
+  {
+    MutexLock lock(thread_mu);
+    EXPECT_NE(executor_thread, std::thread::id());
+    EXPECT_NE(executor_thread, io_thread);
+  }
+  // A fill does not turn an executor-mode EXECUTE into an inline one.
+  auto filled_on_worker =
+      (*client)->Execute("select x from warehouse", "fill", 10, {});
+  ASSERT_TRUE(filled_on_worker.ok()) << filled_on_worker.status().ToString();
+  EXPECT_EQ(server.inline_dispatched(), 1u);
+  EXPECT_EQ(executions.load(), 2);  // the executor ignores fills
+  {
+    MutexLock lock(thread_mu);
+    EXPECT_NE(executor_thread, io_thread);
+  }
+  server.Stop();
+
+  // A wrapper around MissFillExecutor serves fills the same way, but the
+  // server cannot see through it: executor mode, worker path.
+  Watchman::Options wrapped_options;
+  wrapped_options.capacity_bytes = 8 << 20;
+  Watchman::Executor wrapper =
+      [fill = WatchmanServer::MissFillExecutor()](const std::string& text) {
+        return fill(text);
+      };
+  Watchman wrapped(std::move(wrapped_options), std::move(wrapper));
+  WatchmanServer wrapped_server(&wrapped, BaseOptions());
+  ASSERT_TRUE(wrapped_server.Start().ok());
+  client_options.port = wrapped_server.port();
+  auto wrapped_client = WatchmanClient::Connect(client_options);
+  ASSERT_TRUE(wrapped_client.ok());
+  ASSERT_TRUE((*wrapped_client)->Ping().ok());
+  EXPECT_EQ(wrapped_server.inline_dispatched(), 1u);
+  auto filled = (*wrapped_client)->Execute(query, "wrapped fill", 10, {});
+  ASSERT_TRUE(filled.ok()) << filled.status().ToString();
+  EXPECT_FALSE(filled->cache_hit);
+  EXPECT_EQ(filled->payload, "wrapped fill");
+  EXPECT_EQ(wrapped_server.inline_dispatched(), 1u);  // worker path
+  EXPECT_TRUE(wrapped.IsCached(query));
+  wrapped_server.Stop();
+}
+
+TEST_P(ServerIntegrationTest, FillModePipelinedExecuteAnsweredInlineInOrder) {
+  // One pipelined burst of (fill EXECUTE q_i, GET q_i) pairs on distinct
+  // queries against a fill-mode server: every frame is answered inline
+  // in arrival order, so each GET sees the set its EXECUTE just cached.
+  StartServer();
+  MultiplexedClient::Options options;
+  options.port = server_->port();
+  auto client = MultiplexedClient::Connect(options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  constexpr int kPairs = 32;
+  const uint64_t inlined_before = server_->inline_dispatched();
+  std::vector<std::pair<MultiplexedClient::Ticket, MultiplexedClient::Ticket>>
+      tickets;
+  for (int i = 0; i < kPairs; ++i) {
+    const std::string query = "select " + std::to_string(i) + " from burst";
+    auto execute = (*client)->StartExecute(query, PayloadFor(query), 100,
+                                           {"burst"});
+    ASSERT_TRUE(execute.ok());
+    auto get = (*client)->StartGet(query);
+    ASSERT_TRUE(get.ok());
+    tickets.emplace_back(*execute, *get);
+  }
+  ASSERT_TRUE((*client)->Flush().ok());
+
+  for (int i = 0; i < kPairs; ++i) {
+    const std::string query = "select " + std::to_string(i) + " from burst";
+    auto executed = (*client)->Await(tickets[i].first);
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+    EXPECT_EQ(executed->code, StatusCode::kOk) << executed->message;
+    EXPECT_EQ(executed->op, OpCode::kExecute);
+    EXPECT_FALSE(executed->cache_hit) << query;
+    EXPECT_EQ(executed->payload, PayloadFor(query));
+    auto got = (*client)->Await(tickets[i].second);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->code, StatusCode::kOk) << got->message;
+    EXPECT_EQ(got->op, OpCode::kGet);
+    EXPECT_TRUE(got->cache_hit) << query;
+    EXPECT_EQ(got->payload, PayloadFor(query));
+  }
+  EXPECT_EQ(server_->inline_dispatched(), inlined_before + 2 * kPairs);
+  // Exactly one reference per call: each EXECUTE records its miss, each
+  // GET its hit.
+  const WireStats stats = server_->StatsSnapshot();
+  EXPECT_EQ(stats.lookups, static_cast<uint64_t>(2 * kPairs));
+  EXPECT_EQ(stats.hits, static_cast<uint64_t>(kPairs));
+  EXPECT_EQ(stats.insertions, static_cast<uint64_t>(kPairs));
 }
 
 TEST_P(ServerIntegrationTest, InlineDispatchDisabledByOption) {
@@ -358,12 +502,13 @@ TEST_P(ServerIntegrationTest, InlineDispatchDisabledByOption) {
 }
 
 TEST_P(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
-  // A pipelined burst of cheap frames around an EXECUTE, against one
-  // worker and a tiny inline burst budget: the budget forces most
-  // pings onto the worker path, and every frame -- the EXECUTE
-  // included -- must still be answered. This is the starvation guard:
-  // inline dispatch may only serve frames while the ready-queue is
-  // empty, and only max_inline_burst of them per tick.
+  // A pipelined burst of cheap frames around an INVALIDATE_RELATION
+  // (never inlined), against one worker and a tiny inline burst budget:
+  // the budget forces most pings onto the worker path, and every frame
+  // -- the invalidation included -- must still be answered. This is
+  // the starvation guard: inline dispatch may only serve frames while
+  // the ready-queue is empty, and only max_inline_burst of them per
+  // tick.
   Watchman::Options options;
   options.capacity_bytes = 8 << 20;
   Watchman cache(std::move(options), WatchmanServer::MissFillExecutor());
@@ -372,10 +517,20 @@ TEST_P(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
   server_options.max_inline_burst = 2;
   WatchmanServer server(&cache, server_options);
   ASSERT_TRUE(server.Start().ok());
+  {
+    WatchmanClient::Options client_options;
+    client_options.port = server.port();
+    auto client = WatchmanClient::Connect(client_options);
+    ASSERT_TRUE(client.ok());
+    auto filled = (*client)->Execute("select starved from floods",
+                                     "dropped anyway", 100, {"floods"});
+    ASSERT_TRUE(filled.ok()) << filled.status().ToString();
+  }
+  ASSERT_TRUE(cache.IsCached("select starved from floods"));
 
   constexpr uint64_t kPingsBefore = 40;
   constexpr uint64_t kPingsAfter = 40;
-  const uint64_t execute_id = kPingsBefore + 1;
+  const uint64_t invalidate_id = kPingsBefore + 1;
   std::string stream;
   uint64_t next_id = 1;
   for (uint64_t i = 0; i < kPingsBefore; ++i) {
@@ -384,14 +539,11 @@ TEST_P(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
     ping.request_id = next_id++;
     AppendRequest(ping, &stream);
   }
-  WireRequest execute;
-  execute.op = OpCode::kExecute;
-  execute.request_id = next_id++;
-  execute.query_text = "select starved from floods";
-  execute.has_fill = true;
-  execute.fill_payload = "answered anyway";
-  execute.fill_cost = 100;
-  AppendRequest(execute, &stream);
+  WireRequest invalidate;
+  invalidate.op = OpCode::kInvalidateRelation;
+  invalidate.request_id = next_id++;
+  invalidate.relation = "floods";
+  AppendRequest(invalidate, &stream);
   for (uint64_t i = 0; i < kPingsAfter; ++i) {
     WireRequest ping;
     ping.op = OpCode::kPing;
@@ -412,15 +564,15 @@ TEST_P(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
     EXPECT_FALSE(answered[response->request_id]) << response->request_id;
     answered[response->request_id] = true;
     EXPECT_EQ(response->code, StatusCode::kOk);
-    if (response->request_id == execute_id) {
-      EXPECT_EQ(response->op, OpCode::kExecute);
-      EXPECT_EQ(response->payload, "answered anyway");
+    if (response->request_id == invalidate_id) {
+      EXPECT_EQ(response->op, OpCode::kInvalidateRelation);
+      EXPECT_EQ(response->dropped, 1u);
     }
   }
   for (uint64_t id = 1; id <= total; ++id) {
     EXPECT_TRUE(answered[id]) << "request " << id << " never answered";
   }
-  EXPECT_TRUE(cache.IsCached("select starved from floods"));
+  EXPECT_FALSE(cache.IsCached("select starved from floods"));
   server.Stop();
 }
 
